@@ -29,10 +29,41 @@ class TestClosed:
         assert out == "CLOSED\n"
 
     def test_dangling_not_closed(self, capsys):
-        code, out, _ = invoke(capsys, "closed", "Dangling", fx("two_entity.fti"))
+        code, out, err = invoke(capsys, "closed", "Dangling", fx("two_entity.fti"))
         assert code == 1
-        assert out.startswith("NOT CLOSED\n")
-        assert "e1 -> e2" in out
+        assert out == "NOT CLOSED\n  e1 -> e2 : a(m) x +1\n"
+        assert err == ""
+
+    def test_non_tf_residual_lines(self, capsys, tmp_path):
+        # a non-TF element is listed as a residual term and again as
+        # non-cancellable; client-polarity terms name their incoming side
+        spec = tmp_path / "nontf.fti"
+        spec.write_text("entity e1\nentity e2\naction a\naction b\nmotive m\n"
+                        "architecture NonTF {\n  e1 : { e2.a(m)/T },\n"
+                        "  e2 : { ~e1.b(m)/F }\n}\n")
+        code, out, err = invoke(capsys, "closed", "NonTF", str(spec))
+        assert code == 1
+        assert out == ("NOT CLOSED\n"
+                       "  e1 -> e2 : a(m)/T x +1\n"
+                       "  e1 -> e2 (incoming side) : b(m)/F x +1\n"
+                       "  non-cancellable reply constraint: e2.a(m)@e1/T\n"
+                       "  non-cancellable reply constraint: ~e1.b(m)@e2/F\n")
+        assert err == ""
+
+    def test_conditional_not_closed_lists_each_open_assignment(self, capsys, tmp_path):
+        spec = tmp_path / "cond.fti"
+        spec.write_text("entity g\nentity f\naction a\naction b\nmotive m\ncondition c\n"
+                        "architecture CondOpen {\n"
+                        "  g : { (2 x f.a(m)) <| c |> f.b(m) },\n"
+                        "  f : { ~g.a(m) <| c |> 0 }\n}\n")
+        code, out, err = invoke(capsys, "closed", "CondOpen", str(spec))
+        assert code == 1
+        assert out == ("NOT CLOSED\n"
+                       "  under c=false:\n"
+                       "    g -> f : b(m) x +1\n"
+                       "  under c=true:\n"
+                       "    g -> f : a(m) x +1\n")
+        assert err == ""
 
     def test_closed_json_schema(self, capsys):
         code, out, _ = invoke(capsys, "closed", "TwoEntity", fx("two_entity.fti"),
@@ -177,6 +208,20 @@ class TestTransforms:
         assert code == 0
         assert out == "e1 : 0\ne2 : -~e1.a(m)\n"
 
+    def test_parts_json_fields(self, capsys):
+        _, out, _ = invoke(capsys, "decompose", "Sum", fx("two_entity.fti"),
+                           "--format", "json")
+        parts = json.loads(out)["parts"]
+        assert [list(p) for p in parts] == [["entity", "rendered", "terms"]] * 2
+        assert [(p["entity"], p["rendered"]) for p in parts] == [("e1", "e2.a(m)"),
+                                                                 ("e2", "~e1.a(m)")]
+        _, out, _ = invoke(capsys, "diff", "TwoEntity", "Dangling", fx("two_entity.fti"),
+                           "--format", "json")
+        deltas = json.loads(out)["deltas"]
+        assert [list(d) for d in deltas] == [["entity", "rendered", "terms"]] * 2
+        assert [(d["entity"], d["rendered"]) for d in deltas] == [("e1", "0"),
+                                                                  ("e2", "-~e1.a(m)")]
+
     def test_interface_outputs_reparse(self, capsys):
         from ftig.speclang import evaluate_expression_text
         for argv in (("localize", "-e", "e1", "Sum", fx("two_entity.fti")),
@@ -197,11 +242,14 @@ class TestComply:
         assert code == 0 and out == "COMPLIANT\n"
 
     def test_violating_log(self, capsys):
-        code, out, _ = invoke(capsys, "comply", "--log", fx("log_bad.csv"),
-                              "TwoEntity", fx("two_entity.fti"))
+        code, out, err = invoke(capsys, "comply", "--log", fx("log_bad.csv"),
+                                "TwoEntity", fx("two_entity.fti"))
         assert code == 1
-        assert out.startswith("NOT COMPLIANT\n")
-        assert "unmatched-outgoing" in out
+        assert out == ("NOT COMPLIANT\n"
+                       "  event 0: unmatched-outgoing at e2\n"
+                       "  event 1: unmatched-outgoing at e1 (closest: e2.a(m))\n")
+        assert err == ("warning: event 0: unmatched-incoming at e1\n"
+                       "warning: event 1: unmatched-incoming at e2 (closest: ~e1.a(m))\n")
 
     def test_malformed_log_is_static_error(self, capsys, tmp_path):
         log = tmp_path / "log.csv"
