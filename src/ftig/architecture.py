@@ -85,6 +85,15 @@ class Architecture:
         return f"Architecture({self.name!r}, {len(self.members)} members)"
 
 
+def _evaluate(member: ArchMember, assignment) -> Interface:
+    """The member's interface, under ``assignment`` when it is conditional."""
+    if member.interface.is_plain:
+        return member.interface.unconditional
+    if assignment is None:
+        raise ValueError(f"member {member.entity} is conditional; supply an assignment")
+    return eval_conditional(member.interface, assignment)
+
+
 def global_sum(arch: Architecture, assignment=None, catalog: Catalog | None = None) -> Interface:
     """Sum of the globalized member interfaces, motives expanded.
 
@@ -92,16 +101,7 @@ def global_sum(arch: Architecture, assignment=None, catalog: Catalog | None = No
     """
     total = Interface.zero()
     for member in arch.members:
-        if member.interface.is_plain:
-            part = member.interface.unconditional
-        else:
-            if assignment is None:
-                raise ValueError(
-                    f"architecture {arch.name} has conditional members; "
-                    f"supply a condition assignment"
-                )
-            part = eval_conditional(member.interface, assignment)
-        total = total + globalize(member.entity, part, catalog)
+        total = total + globalize(member.entity, _evaluate(member, assignment), catalog)
     return expand_motives(total)
 
 
@@ -130,32 +130,15 @@ class ArchitectureReport:
 
     def residual_lines(self) -> list[str]:
         if self.plain is not None:
-            return _residual_lines(self.plain)
+            return self.plain.residual_lines()
         lines = []
         for assignment, rep in self.conditional.cases:
             if rep.closed:
                 continue
             label = ", ".join(f"{v}={'true' if b else 'false'}" for v, b in assignment)
             lines.append(f"under {label}:")
-            lines.extend("  " + line for line in _residual_lines(rep))
+            lines.extend("  " + line for line in rep.residual_lines())
         return lines
-
-
-def _residual_lines(report: ClosednessReport) -> list[str]:
-    from .algebra import render_motive
-
-    lines = []
-    for gen, coeff in report.residual.canonical:
-        direction = f"{gen.host} -> {gen.target}"
-        if gen.polarity == CLIENT:
-            direction = f"{gen.target} -> {gen.host} (incoming side)"
-        alpha = "" if gen.alpha == ALPHA_TF else f"/{gen.alpha}"
-        lines.append(
-            f"{direction} : {gen.action}({render_motive(gen.motive)}){alpha} x {coeff:+d}"
-        )
-    for gen in report.residual.non_cancellable:
-        lines.append(f"non-cancellable reply constraint: {gen.text()}")
-    return lines
 
 
 def check_closed(arch: Architecture, catalog: Catalog | None = None) -> ArchitectureReport:
@@ -253,21 +236,6 @@ class ComplianceReport:
         return not self.violations
 
 
-def _member_interfaces(arch: Architecture, assignment) -> dict[str, Interface]:
-    out = {}
-    for member in arch.members:
-        if member.interface.is_plain:
-            iface = member.interface.unconditional
-        else:
-            if assignment is None:
-                raise ValueError(
-                    f"member {member.entity} is conditional; supply an assignment"
-                )
-            iface = eval_conditional(member.interface, assignment)
-        out[member.entity] = expand_motives(iface)
-    return out
-
-
 def _match(iface: Interface, polarity: str, target: str, action: str, motive: str,
            reply: str) -> str:
     """Returns "ok", "reply-forbidden", or "unmatched"."""
@@ -306,7 +274,7 @@ def comply_events(events, arch: Architecture, assignment=None) -> ComplianceRepo
     missing incoming declaration is a warning unless the member is
     contained, in which case it is a violation.
     """
-    members = _member_interfaces(arch, assignment)
+    members = {m.entity: expand_motives(_evaluate(m, assignment)) for m in arch.members}
     contained = {m.entity: m.contained for m in arch.members}
     violations: list[Violation] = []
     warnings: list[Violation] = []

@@ -62,6 +62,3 @@ class Catalog:
             chain.append(cur)
             cur = self.entities[cur].parent
         return tuple(reversed(chain))
-
-    def children(self, name: str | None) -> list[str]:
-        return [e.name for e in self.entities.values() if e.parent == name]

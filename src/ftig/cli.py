@@ -1,9 +1,9 @@
 """Command-line front end: parse, resolve, transform and check pipelines.
 
 Exit status: 0 success (or closed / compliant), 1 failed check, 2 static
-error (parse, resolution, unknown name, malformed input), 3 capacity or
-arithmetic error.  Results go to stdout, diagnostics to stderr; set
-NO_COLOR to disable ANSI coloring of diagnostics.
+error (parse, resolution, unknown name, malformed or undecodable input),
+3 capacity or arithmetic error.  Results go to stdout, diagnostics to
+stderr; set NO_COLOR to disable ANSI coloring of diagnostics.
 """
 
 from __future__ import annotations
@@ -41,14 +41,17 @@ def _print_diagnostics(diags, stream=None):
         print(line, file=stream)
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {path}: {exc}") from exc
+
+
 def _load(args):
     module = SpecModule()
     for path in args.files:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise CliError(f"cannot read {path}: {exc}") from exc
-        module.extend(parse_module(text, filename=path))
+        module.extend(parse_module(_read_text(path), filename=path))
     return resolve(module, allow_undeclared=args.allow_undeclared)
 
 
@@ -88,6 +91,14 @@ def _emit(args, doc: dict, text_lines: list[str]):
     else:
         for line in text_lines:
             print(line)
+
+
+def _emit_parts(args, command: str, key: str, parts, **fields) -> int:
+    """Emit ``entity : rendered`` lines, or the same parts as JSON under ``key``."""
+    fields[key] = [{"entity": e, "rendered": i.render(), "terms": report.interface_terms(i)}
+                   for e, i in parts]
+    _emit(args, report.document(command, **fields), [f"{e} : {i.render()}" for e, i in parts])
+    return 0
 
 
 # ------------------------------------------------------------- handlers
@@ -220,14 +231,8 @@ def _cmd_globalize(args) -> int:
 
 def _cmd_decompose(args) -> int:
     res = _require_resolved(args)
-    parts = decompose(_get_plain(res, args.interface))
-    doc = report.document(
-        "decompose", interface=args.interface,
-        parts=[{"entity": e, "rendered": i.render(), "terms": report.interface_terms(i)}
-               for e, i in parts.parts],
-    )
-    _emit(args, doc, [f"{e} : {i.render()}" for e, i in parts.parts])
-    return 0
+    parts = decompose(_get_plain(res, args.interface)).parts
+    return _emit_parts(args, "decompose", "parts", parts, interface=args.interface)
 
 
 def _cmd_refine(args) -> int:
@@ -250,11 +255,7 @@ def _read_rename_map(path: str) -> RenameMap:
     action_map: dict[str, str] = {}
     motive_map: dict[str, str] = {}
     tables = {"entity": entity_map, "action": action_map, "motive": motive_map}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -277,13 +278,7 @@ def _cmd_rename(args) -> int:
 def _cmd_diff(args) -> int:
     res = _require_resolved(args)
     deltas = diff(_get_architecture(res, args.a), _get_architecture(res, args.b))
-    doc = report.document(
-        "diff", a=args.a, b=args.b,
-        deltas=[{"entity": e, "rendered": d.render(), "terms": report.interface_terms(d)}
-                for e, d in deltas],
-    )
-    _emit(args, doc, [f"{e} : {d.render()}" for e, d in deltas])
-    return 0
+    return _emit_parts(args, "diff", "deltas", deltas, a=args.a, b=args.b)
 
 
 def _violation_object(v) -> dict:
@@ -296,15 +291,22 @@ def _violation_object(v) -> dict:
     }
 
 
+def _violation_text(v) -> str:
+    hint = ""
+    if v.candidates:
+        hint = " (closest: " + ", ".join(g.text() for g in v.candidates) + ")"
+    return f"event {v.index}: {v.kind} at {v.entity}{hint}"
+
+
 def _check_event_names(events, res, allow_undeclared: bool):
     catalog = res.catalog
+    tables = {"entity": catalog.entities, "action": catalog.actions,
+              "motive": catalog.motives}
     unknown = []
     for index, ev in enumerate(events):
         for kind, name in (("entity", ev.source), ("entity", ev.destination),
                            ("action", ev.action), ("motive", ev.motive)):
-            table = {"entity": catalog.entities, "action": catalog.actions,
-                     "motive": catalog.motives}[kind]
-            if name not in table:
+            if name not in tables[kind]:
                 unknown.append(f"event {index}: undeclared {kind} {name}")
     if not unknown:
         return
@@ -330,28 +332,16 @@ def _parse_assignments(pairs) -> dict | None:
 def _cmd_comply(args) -> int:
     res = _require_resolved(args)
     arch = _get_architecture(res, args.architecture)
-    try:
-        text = Path(args.log).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read {args.log}: {exc}") from exc
-    events = read_event_log(text)
+    events = read_event_log(_read_text(args.log))
     _check_event_names(events, res, args.allow_undeclared)
     try:
         rep = comply_events(events, arch, _parse_assignments(args.assign))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     for warning in rep.warnings:
-        hint = ""
-        if warning.candidates:
-            hint = " (closest: " + ", ".join(g.text() for g in warning.candidates) + ")"
-        print(f"warning: event {warning.index}: {warning.kind} at {warning.entity}{hint}",
-              file=sys.stderr)
+        print(f"warning: {_violation_text(warning)}", file=sys.stderr)
     lines = ["COMPLIANT" if rep.complies else "NOT COMPLIANT"]
-    for v in rep.violations:
-        hint = ""
-        if v.candidates:
-            hint = " (closest: " + ", ".join(g.text() for g in v.candidates) + ")"
-        lines.append(f"  event {v.index}: {v.kind} at {v.entity}{hint}")
+    lines.extend(f"  {_violation_text(v)}" for v in rep.violations)
     doc = report.document(
         "comply", architecture=args.architecture, log=args.log,
         verdict="compliant" if rep.complies else "violations",

@@ -71,12 +71,6 @@ class Decomposition:
     def as_dict(self) -> dict[str, Interface]:
         return dict(self.parts)
 
-    def entities(self) -> tuple[str, ...]:
-        return tuple(e for e, _ in self.parts)
-
-    def render(self) -> str:
-        return "\n".join(f"{entity} : {part.render()}" for entity, part in self.parts)
-
 
 def decompose(iface: Interface) -> Decomposition:
     """Split a global interface into its nonzero per-entity projections."""

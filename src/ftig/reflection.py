@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import ALPHA_TF, CLIENT, SERVICE, Generator, Interface
+from .algebra import ALPHA_TF, CLIENT, Generator, Interface, render_motive
 from .errors import ScopeError
 
 
@@ -83,28 +83,19 @@ class ClosednessReport:
     closed: bool
     residual: Residual
 
-    def unmatched(self) -> list[str]:
-        """Human-readable line per residual term: who still owes or expects what."""
+    def residual_lines(self) -> list[str]:
+        """One line per residual term, then one per non-cancellable element."""
         lines = []
         for gen, coeff in self.residual.canonical:
-            if gen.alpha != ALPHA_TF:
-                continue
-            action = f"{gen.action}({', '.join(gen.motive) or '0'})"
-            if coeff > 0:
-                lines.append(
-                    f"{gen.host} may still issue {coeff} x {action} to {gen.target} "
-                    f"with no receiving counterpart"
-                )
-            else:
-                # -f.a(m)@g is the incoming side ~g.a(m)@f with nothing to receive from
-                lines.append(
-                    f"{gen.target} may still receive {-coeff} x {action} from {gen.host} "
-                    f"with no issuing counterpart"
-                )
-        for gen in self.residual.non_cancellable:
+            direction = f"{gen.host} -> {gen.target}"
+            if gen.polarity == CLIENT:
+                direction = f"{gen.target} -> {gen.host} (incoming side)"
+            alpha = "" if gen.alpha == ALPHA_TF else f"/{gen.alpha}"
             lines.append(
-                f"{gen.text()} carries reply constraint /{gen.alpha} and cannot cancel"
+                f"{direction} : {gen.action}({render_motive(gen.motive)}){alpha} x {coeff:+d}"
             )
+        for gen in self.residual.non_cancellable:
+            lines.append(f"non-cancellable reply constraint: {gen.text()}")
         return lines
 
 

@@ -1,8 +1,14 @@
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ftig.cli import run
 
@@ -316,9 +322,69 @@ class TestExitCodes:
         assert code == 3
         assert "condition variables" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("check", "{bad}"),
+        ("rename", "--map", "{bad}", "I1", fx("two_entity.fti")),
+        ("comply", "--log", "{bad}", "TwoEntity", fx("two_entity.fti")),
+    ], ids=["spec", "rename-map", "event-log"])
+    def test_undecodable_input_is_exit_2(self, capsys, tmp_path, argv):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff")
+        code, out, err = invoke(capsys, *(a.format(bad=bad) for a in argv))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {bad}: ")
+        assert err.count("\n") == 1
+
     def test_console_script_entry_point(self):
         out = subprocess.run(
             [sys.executable, "-m", "ftig.cli", "closed", "TwoEntity", fx("two_entity.fti")],
             capture_output=True, text=True, env=cli_env())
         assert out.returncode == 0
         assert out.stdout == "CLOSED\n"
+
+
+SPEC_BYTES = (FIXTURES / "two_entity.fti").read_bytes()
+LOG_BYTES = (FIXTURES / "log_bad.csv").read_bytes()
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """``data`` with a few bytes replaced, inserted or deleted; any byte value,
+    so the result need not be UTF-8."""
+    buf = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(buf)))
+        op = draw(st.sampled_from(("replace", "insert", "delete")))
+        if op == "insert" or pos == len(buf):
+            buf.insert(pos, draw(st.integers(0, 255)))
+        elif op == "replace":
+            buf[pos] = draw(st.integers(0, 255))
+        else:
+            del buf[pos]
+    return bytes(buf)
+
+
+class TestFuzz:
+    @given(spec=mutated(SPEC_BYTES), log=mutated(LOG_BYTES))
+    @example(spec=b"\xff" + SPEC_BYTES, log=b"\xff" + LOG_BYTES)
+    @settings(max_examples=40, deadline=None)
+    def test_mutated_inputs_exit_with_a_status(self, spec, log):
+        # a tempdir, not tmp_path: Hypothesis reruns the body per example
+        with tempfile.TemporaryDirectory() as tmp:
+            spec_file, log_file = str(Path(tmp, "spec.fti")), str(Path(tmp, "log.csv"))
+            Path(spec_file).write_bytes(spec)
+            Path(log_file).write_bytes(log)
+            runs = [
+                ("check", spec_file),
+                ("closed", "TwoEntity", spec_file),
+                ("decompose", "Sum", spec_file),
+                ("diff", "TwoEntity", "Dangling", spec_file),
+                ("comply", "--log", fx("log_bad.csv"), "TwoEntity", spec_file),
+                ("comply", "--log", log_file, "TwoEntity", fx("two_entity.fti")),
+                ("comply", "--log", log_file, "TwoEntity", fx("two_entity.fti"),
+                 "--allow-undeclared"),
+            ]
+            for argv in runs:
+                with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                    code = run(list(argv))
+                assert code in (0, 1, 2, 3), argv

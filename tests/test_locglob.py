@@ -112,10 +112,6 @@ class TestDecompose:
     def test_recompose_empty(self):
         assert recompose(Decomposition(())).is_zero
 
-    def test_render_blocks(self):
-        i = Interface.term(service("f", "a", "m1", host="g"))
-        assert decompose(i).render() == "g : f.a(m1)"
-
     def test_identity_exact_on_monoid(self, rng):
         for _ in range(500):
             x = random_monoid_interface(rng)
