@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from ftig.algebra import (
     ALPHA_F, ALPHA_NONE, ALPHA_T, ALPHA_TF, I64_MAX, I64_MIN,
-    Generator, Interface, client, service,
+    Generator, Interface, client, service, interface_sum,
 )
 from ftig.errors import ScopeError
 from ftig.speclang import evaluate_expression_text
@@ -89,6 +91,15 @@ class TestGroupOps:
         # the empty interface is compatible with either scope
         assert local + Interface.zero() == local
         assert iface((X, 1)) + Interface.zero() == iface((X, 1))
+
+    def test_partial_sums_run_in_input_order(self):
+        # each partial sum is checked, so the order of the parts decides
+        # whether a sum whose final value fits in 64 bits overflows
+        g = Interface.term(X)
+        big = I64_MAX * g
+        with pytest.raises(OverflowError, match="coefficient 9223372036854775808 exceeds"):
+            interface_sum([big, g, -g])
+        assert interface_sum([-g, big, g]) == big
 
     def test_coefficient_lookup(self):
         i = iface((X, 2), (Y, -1))
@@ -258,3 +269,91 @@ class TestRender:
                                  composite_motives=True, coeff_range=(-4, 4),
                                  local=rng.random() < 0.5)
             assert evaluate_expression_text(i.render()) == i
+
+
+# ------------------------------------------------------- pairwise oracle
+
+def _old_check_i64(n):
+    if n < I64_MIN or n > I64_MAX:
+        raise OverflowError(f"coefficient {n} exceeds 64-bit signed range")
+    return n
+
+
+def _old_normal_form(items):
+    """The ``Interface`` constructor loop as it stood before sums ran in one
+    pass: (sorted terms, scope)."""
+    acc = {}
+    for gen, coeff in items:
+        if coeff == 0:
+            continue
+        acc[gen] = _old_check_i64(acc.get(gen, 0) + _old_check_i64(coeff))
+        if acc[gen] == 0:
+            del acc[gen]
+    scope = None
+    for gen in acc:
+        gen_scope = "local" if gen.is_local else "global"
+        if scope is None:
+            scope = gen_scope
+        elif scope != gen_scope:
+            raise ScopeError("local and global elements mixed in one interface")
+    return tuple(sorted(acc.items(), key=lambda t: t[0].sort_key())), scope
+
+
+def pairwise_sum(parts):
+    """Oracle: the left fold ``interface_sum`` used to be, one re-normalized
+    running total per addition, with the scope check of ``+``."""
+    terms, scope = (), None
+    for part in parts:
+        if scope is not None and part.scope is not None and scope != part.scope:
+            raise ScopeError(f"cannot combine a {scope} interface with a {part.scope} one")
+        terms, scope = _old_normal_form(terms + part.terms)
+    return terms
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the type and text of what it raised."""
+    try:
+        return ("value", fn(*args))
+    except (OverflowError, ScopeError) as exc:
+        return ("raised", type(exc), str(exc))
+
+
+# coefficients near the i64 limits, so partial sums overflow now and then
+COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from((I64_MAX, I64_MAX - 1, I64_MIN, I64_MIN + 1, 2**62, -(2**62))),
+)
+
+
+@st.composite
+def interfaces(draw, local=None):
+    """A small interface, all local or all global (drawn when ``local`` is None)."""
+    if local is None:
+        local = draw(st.booleans())
+    gens = st.builds(
+        Generator,
+        target=st.sampled_from(("e1", "e2")),
+        action=st.just("a"),
+        motive=st.tuples(st.sampled_from(("m1", "m2"))),
+        polarity=st.sampled_from(("service", "client")),
+        host=st.just(None) if local else st.sampled_from(("e1", "e2")),
+        alpha=st.sampled_from((ALPHA_TF, ALPHA_T)),
+    )
+    return Interface(draw(st.dictionaries(gens, COEFFS, max_size=4)))
+
+
+class TestSumOracle:
+    @given(st.lists(interfaces(), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_interface_sum_equals_pairwise_fold(self, parts):
+        want = outcome(pairwise_sum, parts)
+        got = outcome(lambda: interface_sum(iter(parts)).terms)
+        assert got == want
+        folded = outcome(lambda: functools.reduce(operator.add, parts, Interface.zero()).terms)
+        assert folded == want
+
+    @given(st.lists(interfaces(local=False), max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_one_scope_sums_equal_pairwise_fold(self, parts):
+        # without scope errors, the overflow verdicts are what is compared
+        assert outcome(lambda: interface_sum(parts).terms) == outcome(pairwise_sum, parts)

@@ -306,6 +306,44 @@ class TestComply:
         assert "warning" in err
 
 
+MAX = 9223372036854775807
+HEADER = "entity e1\nentity e2\naction a\nmotive m\n"
+
+
+class TestArithmeticContract:
+    """Sums check every partial sum in input order, and the first error wins."""
+
+    @pytest.mark.parametrize("argv", [("check",), ("normalize", "Big")])
+    def test_partial_sum_overflow_in_an_interface(self, capsys, tmp_path, argv):
+        spec = tmp_path / "big.fti"
+        spec.write_text(HEADER + "interface Big @local "
+                        f"{{ {MAX} x e2.a(m) + e2.a(m) - e2.a(m) }}\n")
+        code, _, err = invoke(capsys, *argv, str(spec))
+        assert code == 2
+        assert (f"{spec}:5:1: error: in interface Big: "
+                "coefficient 9223372036854775808 exceeds 64-bit signed range\n") in err
+
+    def test_member_listed_twice_overflows_when_merged(self, capsys, tmp_path):
+        spec = tmp_path / "twice.fti"
+        spec.write_text(HEADER + f"architecture Twice {{\n  e1 : {{ {MAX} x e2.a(m) }},\n"
+                        "  e1 : { e2.a(m) }\n}\n")
+        code, out, err = invoke(capsys, "closed", "Twice", str(spec))
+        assert code == 3 and out == ""
+        assert err == "error: coefficient 9223372036854775808 exceeds 64-bit signed range\n"
+
+    @pytest.mark.parametrize("body, first, second", [
+        ("e2.a(m) + e2.a(m)@e1", "local", "global"),
+        ("e2.a(m)@e1 - e2.a(m)", "global", "local"),
+    ])
+    def test_scope_mixing_sum(self, capsys, tmp_path, body, first, second):
+        spec = tmp_path / "mix.fti"
+        spec.write_text(HEADER + f"interface Mix {{ {body} }}\n")
+        code, out, err = invoke(capsys, "check", str(spec))
+        assert code == 2 and out == "FAILED\n"
+        assert err == (f"{spec}:5:1: error: in interface Mix: "
+                       f"cannot combine a {first} interface with a {second} one\n")
+
+
 class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = invoke(capsys, "check", "no_such_file.fti")
