@@ -163,6 +163,29 @@ def client(target: str, action: str, motive: MotiveLike = (), host: str | None =
 TermsLike = Union[Mapping[Generator, int], Iterable[tuple[Generator, int]]]
 
 
+def _accumulate(acc: dict[Generator, int], items: Iterable[tuple[Generator, int]]) -> None:
+    """Add ``(generator, coefficient)`` items into ``acc`` in order.
+
+    Each coefficient and each partial sum is checked against the 64-bit
+    range, so the order of the items decides where a sum overflows; terms
+    that reach zero are dropped.
+    """
+    for gen, coeff in items:
+        if not isinstance(gen, Generator):
+            raise TypeError(f"expected Generator, got {type(gen).__name__}")
+        if coeff == 0:
+            continue
+        total = _check_i64(acc.get(gen, 0) + _check_i64(coeff))
+        if total:
+            acc[gen] = total
+        else:
+            del acc[gen]
+
+
+def _sorted_terms(acc: dict[Generator, int]) -> tuple[tuple[Generator, int], ...]:
+    return tuple(sorted(acc.items(), key=lambda t: t[0].sort_key()))
+
+
 class Interface:
     """An element of the free commutative interface group, in normal form.
 
@@ -176,15 +199,7 @@ class Interface:
 
     def __init__(self, terms: TermsLike = ()):
         acc: dict[Generator, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for gen, coeff in items:
-            if not isinstance(gen, Generator):
-                raise TypeError(f"expected Generator, got {type(gen).__name__}")
-            if coeff == 0:
-                continue
-            acc[gen] = _check_i64(acc.get(gen, 0) + _check_i64(coeff))
-            if acc[gen] == 0:
-                del acc[gen]
+        _accumulate(acc, terms.items() if isinstance(terms, Mapping) else terms)
         scope = None
         for gen in acc:
             gen_scope = LOCAL if gen.is_local else GLOBAL
@@ -192,7 +207,7 @@ class Interface:
                 scope = gen_scope
             elif scope != gen_scope:
                 raise ScopeError("local and global elements mixed in one interface")
-        self._terms = tuple(sorted(acc.items(), key=lambda t: t[0].sort_key()))
+        self._terms = _sorted_terms(acc)
         self._scope = scope
 
     @classmethod
@@ -237,15 +252,10 @@ class Interface:
                 return c
         return 0
 
-    def _require_compatible(self, other: Interface):
-        if self._scope is not None and other._scope is not None and self._scope != other._scope:
-            raise ScopeError(f"cannot combine a {self._scope} interface with a {other._scope} one")
-
     def __add__(self, other: Interface) -> Interface:
         if not isinstance(other, Interface):
             return NotImplemented
-        self._require_compatible(other)
-        return Interface(tuple(self._terms) + tuple(other._terms))
+        return interface_sum((self, other))
 
     def __neg__(self) -> Interface:
         return Interface(tuple((g, -c) for g, c in self._terms))
@@ -312,8 +322,49 @@ class Interface:
 _ZERO = Interface()
 
 
+class RunningSum:
+    """A sum of interfaces built in one pass: one dict, sorted once.
+
+    ``add`` runs the checks of ``total + part`` in the same order, so the
+    value and the first error equal those of a left fold of ``+``: the scope
+    check against the running total, then the checked accumulation of each
+    term.  A running total that cancels to zero takes any scope again.
+    """
+
+    __slots__ = ("_acc", "_scope")
+
+    def __init__(self):
+        self._acc: dict[Generator, int] = {}
+        self._scope: str | None = None
+
+    @property
+    def scope(self) -> str | None:
+        """The scope of the total so far; ``None`` while it is zero."""
+        return self._scope if self._acc else None
+
+    def add(self, part: Interface) -> None:
+        if not isinstance(part, Interface):
+            raise TypeError(f"expected Interface, got {type(part).__name__}")
+        if part.scope is not None:
+            if not self._acc:
+                self._scope = part.scope
+            elif self._scope != part.scope:
+                raise ScopeError(
+                    f"cannot combine a {self._scope} interface with a {part.scope} one")
+        _accumulate(self._acc, part.terms)
+
+    def total(self) -> Interface:
+        if not self._acc:
+            return _ZERO
+        total = Interface.__new__(Interface)
+        total._terms = _sorted_terms(self._acc)
+        total._scope = self._scope
+        return total
+
+
 def interface_sum(parts: Iterable[Interface]) -> Interface:
-    total = Interface.zero()
+    """Sum of ``parts`` in one pass; equal, value and errors, to folding ``+``."""
+    running = RunningSum()
     for part in parts:
-        total = total + part
-    return total
+        running.add(part)
+    return running.total()

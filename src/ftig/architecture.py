@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .algebra import (
     ALPHA_F, ALPHA_NONE, ALPHA_T, ALPHA_TF, ALPHAS, CLIENT, SERVICE,
-    Generator, Interface,
+    Generator, Interface, interface_sum,
 )
 from .catalog import Catalog
 from .errors import LogFormatError, ScopeError
@@ -23,7 +23,7 @@ from .locglob import globalize
 from .reflection import ClosednessReport, is_closed
 from .transform import (
     AssignmentReport, ConditionalInterface, closed_under_all_assignments,
-    eval_conditional, expand_motives,
+    conditional_sum, eval_conditional, expand_motives,
 )
 
 
@@ -99,20 +99,19 @@ def global_sum(arch: Architecture, assignment=None, catalog: Catalog | None = No
 
     Architectures with conditional members need a truth assignment.
     """
-    total = Interface.zero()
-    for member in arch.members:
-        total = total + globalize(member.entity, _evaluate(member, assignment), catalog)
-    return expand_motives(total)
+    return expand_motives(interface_sum(
+        globalize(member.entity, _evaluate(member, assignment), catalog)
+        for member in arch.members
+    ))
 
 
 def _conditional_global_sum(arch: Architecture, catalog: Catalog | None) -> ConditionalInterface:
-    total = ConditionalInterface()
-    for member in arch.members:
-        hosted = member.interface.map_interfaces(
+    return conditional_sum(
+        member.interface.map_interfaces(
             lambda i, e=member.entity: expand_motives(globalize(e, i, catalog))
         )
-        total = total + hosted
-    return total
+        for member in arch.members
+    )
 
 
 @dataclass(frozen=True)
@@ -236,13 +235,16 @@ class ComplianceReport:
         return not self.violations
 
 
-def _match(iface: Interface, polarity: str, target: str, action: str, motive: str,
-           reply: str) -> str:
-    """Returns "ok", "reply-forbidden", or "unmatched"."""
+def _match(coefficients: dict[Generator, int], polarity: str, target: str, action: str,
+           motive: str, reply: str) -> str:
+    """Returns "ok", "reply-forbidden", or "unmatched".
+
+    ``coefficients`` is ``dict(iface)`` of the member's interface.
+    """
     declared = []
     for alpha in ALPHAS:
         gen = Generator(target, action, (motive,), polarity, None, alpha)
-        if iface.coefficient(gen) > 0:
+        if coefficients.get(gen, 0) > 0:
             declared.append(alpha)
     if any(reply in _ADMITS[alpha] for alpha in declared):
         return "ok"
@@ -275,6 +277,7 @@ def comply_events(events, arch: Architecture, assignment=None) -> ComplianceRepo
     contained, in which case it is a violation.
     """
     members = {m.entity: expand_motives(_evaluate(m, assignment)) for m in arch.members}
+    coefficients = {entity: dict(iface) for entity, iface in members.items()}
     contained = {m.entity: m.contained for m in arch.members}
     violations: list[Violation] = []
     warnings: list[Violation] = []
@@ -286,7 +289,7 @@ def comply_events(events, arch: Architecture, assignment=None) -> ComplianceRepo
             )
         if ev.source in members:
             iface = members[ev.source]
-            verdict = _match(iface, SERVICE, ev.destination, ev.action, ev.motive, ev.reply)
+            verdict = _match(coefficients[ev.source], SERVICE, ev.destination, ev.action, ev.motive, ev.reply)
             if verdict == "reply-forbidden":
                 violations.append(Violation(index, "reply-forbidden", "outgoing", ev.source))
             elif verdict == "unmatched":
@@ -295,7 +298,7 @@ def comply_events(events, arch: Architecture, assignment=None) -> ComplianceRepo
                     _candidates(iface, SERVICE, ev.destination, ev.action, ev.motive)))
         if ev.destination in members:
             iface = members[ev.destination]
-            verdict = _match(iface, CLIENT, ev.source, ev.action, ev.motive, ev.reply)
+            verdict = _match(coefficients[ev.destination], CLIENT, ev.source, ev.action, ev.motive, ev.reply)
             if verdict == "reply-forbidden":
                 violations.append(Violation(index, "reply-forbidden", "incoming", ev.destination))
             elif verdict == "unmatched":

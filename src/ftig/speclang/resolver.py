@@ -16,7 +16,7 @@ from ..catalog import Catalog
 from ..errors import ScopeError, SourcePosition
 from ..transform import (
     ConditionalInterface, ConditionLiteral, RefinementSpec, RenameMap,
-    expand_motives, refine, rename,
+    conditional_sum, expand_motives, refine, rename,
 )
 from .astnodes import (
     ActionItem, ArchitectureDef, CheckDirective, CondExpr, ConditionItem,
@@ -193,6 +193,10 @@ class _Evaluator:
                             dict(item.motive_map))
         return ConditionalInterface(rename(source, mapping))
 
+    def _eval_signed(self, sign: int, node) -> ConditionalInterface:
+        value = self.eval(node)
+        return value.map_interfaces(lambda i: -i) if sign < 0 else value
+
     def eval(self, node) -> ConditionalInterface:
         if isinstance(node, ZeroExpr):
             return ConditionalInterface()
@@ -215,13 +219,8 @@ class _Evaluator:
         if isinstance(node, ParenExpr):
             return self.eval(node.inner)
         if isinstance(node, SumExpr):
-            total = ConditionalInterface()
-            for sign, part in node.parts:
-                value = self.eval(part)
-                if sign < 0:
-                    value = value.map_interfaces(lambda i: -i)
-                total = total + value
-            return total
+            # a generator, so each part is evaluated just before it is added
+            return conditional_sum(self._eval_signed(sign, part) for sign, part in node.parts)
         if isinstance(node, CondExpr):
             self._check_name("condition", node.variable, node.pos)
             then = self.eval(node.then)

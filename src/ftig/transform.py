@@ -10,14 +10,17 @@ closedness check to each evaluation.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
-from .algebra import Generator, Interface, interface_sum
+from .algebra import GLOBAL, LOCAL, Generator, Interface, RunningSum, interface_sum
 from .errors import CapacityError, ScopeError
 from .reflection import ClosednessReport, is_closed
 
 MAX_CONDITION_VARS = 16
+
+_MIXED_BRANCHES = "conditional branches mix local and global interfaces"
 
 
 def expand_motives(iface: Interface) -> Interface:
@@ -160,17 +163,15 @@ class ConditionalInterface:
     def __init__(self, unconditional: Interface = Interface.zero(),
                  branches: Mapping[ConditionLiteral, Interface] | Iterable[tuple[ConditionLiteral, Interface]] = ()):
         items = branches.items() if isinstance(branches, Mapping) else branches
-        acc: dict[ConditionLiteral, Interface] = {}
+        sums: dict[ConditionLiteral, RunningSum] = {}
         for lit, iface in items:
-            merged = acc.get(lit, Interface.zero()) + iface
-            if merged.is_zero:
-                acc.pop(lit, None)
-            else:
-                acc[lit] = merged
+            sums.setdefault(lit, RunningSum()).add(iface)
+        totals = ((lit, running.total()) for lit, running in sums.items())
+        acc = {lit: iface for lit, iface in totals if not iface.is_zero}
         scopes = {unconditional.scope} | {i.scope for i in acc.values()}
         scopes.discard(None)
         if len(scopes) > 1:
-            raise ScopeError("conditional branches mix local and global interfaces")
+            raise ScopeError(_MIXED_BRANCHES)
         self._unconditional = unconditional
         self._branches = tuple(sorted(acc.items(), key=lambda t: t[0].sort_key()))
 
@@ -201,10 +202,7 @@ class ConditionalInterface:
             other = ConditionalInterface(other)
         if not isinstance(other, ConditionalInterface):
             return NotImplemented
-        return ConditionalInterface(
-            self._unconditional + other._unconditional,
-            tuple(self._branches) + tuple(other._branches),
-        )
+        return conditional_sum((self, other))
 
     def __eq__(self, other):
         if not isinstance(other, ConditionalInterface):
@@ -233,6 +231,31 @@ class ConditionalInterface:
 
     def __repr__(self):
         return f"ConditionalInterface<{self.render()}>"
+
+
+def conditional_sum(parts: Iterable[ConditionalInterface]) -> ConditionalInterface:
+    """Sum of conditional interfaces in one pass: one running sum for the
+    unconditional parts and one per literal.
+
+    Equal, value and errors, to folding ``+`` left to right: each part adds
+    its unconditional interface and then its branches in literal order, and
+    the scopes of the nonzero sums are compared after every part.
+    """
+    unconditional = RunningSum()
+    branches: dict[ConditionLiteral, RunningSum] = {}
+    nonzero = Counter()  # scope -> running sums of that scope with nonzero total
+    for part in parts:
+        for lit, iface in ((None, part.unconditional), *part.branches):
+            running = unconditional if lit is None else branches.setdefault(lit, RunningSum())
+            nonzero[running.scope] -= 1
+            running.add(iface)
+            nonzero[running.scope] += 1
+        if nonzero[LOCAL] > 0 and nonzero[GLOBAL] > 0:
+            raise ScopeError(_MIXED_BRANCHES)
+    return ConditionalInterface(
+        unconditional.total(),
+        tuple((lit, running.total()) for lit, running in branches.items()),
+    )
 
 
 def eval_conditional(cond: ConditionalInterface, assignment: Mapping[str, bool]) -> Interface:

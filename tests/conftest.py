@@ -3,9 +3,13 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import ftig
-from ftig.algebra import ALPHA_TF, ALPHAS, CLIENT, SERVICE, Generator, Interface
+from ftig.algebra import (
+    ALPHA_TF, ALPHAS, CLIENT, I64_MAX, I64_MIN, SERVICE, Generator, Interface,
+)
+from ftig.errors import ScopeError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -68,3 +72,51 @@ def random_interface(rng, entities=ENTITIES, actions=ACTIONS, motives=MOTIVES,
 def random_monoid_interface(rng, **kw):
     kw.setdefault("coeff_range", (1, 3))
     return random_interface(rng, **kw)
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the type and text of what it raised."""
+    try:
+        return ("value", fn(*args))
+    except (OverflowError, ScopeError) as exc:
+        return ("raised", type(exc), str(exc))
+
+
+# coefficients near the i64 limits, so partial sums overflow now and then
+COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from((I64_MAX, I64_MAX - 1, I64_MIN, I64_MIN + 1, 2**62, -(2**62))),
+)
+
+
+@st.composite
+def interfaces(draw, local=None):
+    """A small interface, all local or all global (drawn when ``local`` is None)."""
+    if local is None:
+        local = draw(st.booleans())
+    gens = st.builds(
+        Generator,
+        target=st.sampled_from(("e1", "e2")),
+        action=st.just("a"),
+        motive=st.tuples(st.sampled_from(("m1", "m2"))),
+        polarity=st.sampled_from(("service", "client")),
+        host=st.just(None) if local else st.sampled_from(("e1", "e2")),
+        alpha=st.sampled_from(ALPHAS),
+    )
+    return Interface(draw(st.dictionaries(gens, COEFFS, max_size=4)))
+
+
+@st.composite
+def sum_parts(draw, parts, negate, max_size=8):
+    """A list of ``parts`` in which some entries negate an earlier one, so
+    running totals cancel to zero part-way through."""
+    out = []
+    for _ in range(draw(st.integers(0, max_size))):
+        if out and draw(st.integers(0, 3)) == 0:
+            try:
+                out.append(negate(draw(st.sampled_from(out))))
+                continue
+            except OverflowError:  # the negation of -2**63
+                pass
+        out.append(draw(parts))
+    return out

@@ -3,7 +3,7 @@ import itertools
 import operator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ftig.algebra import (
@@ -13,7 +13,7 @@ from ftig.algebra import (
 from ftig.errors import ScopeError
 from ftig.speclang import evaluate_expression_text
 
-from conftest import random_interface
+from conftest import interfaces, outcome, random_interface, sum_parts
 
 X = service("f", "a", "m", host="g")
 Y = client("g", "a", "m", host="f")
@@ -310,40 +310,10 @@ def pairwise_sum(parts):
     return terms
 
 
-def outcome(fn, *args):
-    """The value of ``fn(*args)``, or the type and text of what it raised."""
-    try:
-        return ("value", fn(*args))
-    except (OverflowError, ScopeError) as exc:
-        return ("raised", type(exc), str(exc))
-
-
-# coefficients near the i64 limits, so partial sums overflow now and then
-COEFFS = st.one_of(
-    st.integers(-3, 3),
-    st.sampled_from((I64_MAX, I64_MAX - 1, I64_MIN, I64_MIN + 1, 2**62, -(2**62))),
-)
-
-
-@st.composite
-def interfaces(draw, local=None):
-    """A small interface, all local or all global (drawn when ``local`` is None)."""
-    if local is None:
-        local = draw(st.booleans())
-    gens = st.builds(
-        Generator,
-        target=st.sampled_from(("e1", "e2")),
-        action=st.just("a"),
-        motive=st.tuples(st.sampled_from(("m1", "m2"))),
-        polarity=st.sampled_from(("service", "client")),
-        host=st.just(None) if local else st.sampled_from(("e1", "e2")),
-        alpha=st.sampled_from((ALPHA_TF, ALPHA_T)),
-    )
-    return Interface(draw(st.dictionaries(gens, COEFFS, max_size=4)))
-
-
 class TestSumOracle:
-    @given(st.lists(interfaces(), max_size=8))
+    @given(sum_parts(interfaces(), operator.neg))
+    @example([Interface.term(service("f", "a", "m")), -Interface.term(service("f", "a", "m")),
+              Interface.term(X)])
     @settings(max_examples=200, deadline=None)
     def test_interface_sum_equals_pairwise_fold(self, parts):
         want = outcome(pairwise_sum, parts)
@@ -352,7 +322,7 @@ class TestSumOracle:
         folded = outcome(lambda: functools.reduce(operator.add, parts, Interface.zero()).terms)
         assert folded == want
 
-    @given(st.lists(interfaces(local=False), max_size=8))
+    @given(sum_parts(interfaces(local=False), operator.neg))
     @settings(max_examples=100, deadline=None)
     def test_one_scope_sums_equal_pairwise_fold(self, parts):
         # without scope errors, the overflow verdicts are what is compared

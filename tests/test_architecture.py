@@ -1,19 +1,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftig.algebra import (
     ALPHA_F, ALPHA_NONE, ALPHA_T, ALPHA_TF, CLIENT, SERVICE,
     Generator, Interface, client, service,
 )
 from ftig.architecture import (
-    Architecture, TransferEvent, check_closed, comply_events, diff,
+    Architecture, TransferEvent, _match, check_closed, comply_events, diff,
     global_sum, read_event_log,
 )
 from ftig.errors import LogFormatError, ScopeError
 from ftig.transform import ConditionalInterface, ConditionLiteral, RefinementSpec, refine
 
-from conftest import random_monoid_interface
+from conftest import interfaces, random_monoid_interface
 
 
 def arch(*members, name="A"):
@@ -293,3 +295,27 @@ def test_compliance_matches_brute_force_oracle(rng):
         want_violations, want_warnings = brute_force_matcher(events, architecture)
         assert sorted(got_violations) == sorted(want_violations)
         assert sorted(got_warnings) == sorted(want_warnings)
+
+
+def coefficient_match(iface, polarity, target, action, motive, reply):
+    """Oracle: ``_match`` as it stood before compliance looked coefficients
+    up in a dict, with ``Interface.coefficient`` per reply constraint."""
+    admits = {ALPHA_TF: "TF", ALPHA_T: "T", ALPHA_F: "F", ALPHA_NONE: "TF"}
+    declared = [alpha for alpha in (ALPHA_TF, ALPHA_T, ALPHA_F, ALPHA_NONE)
+                if iface.coefficient(Generator(target, action, (motive,), polarity,
+                                               None, alpha)) > 0]
+    if any(reply in admits[alpha] for alpha in declared):
+        return "ok"
+    return "reply-forbidden" if declared else "unmatched"
+
+
+@given(iface=interfaces(local=True), polarity=st.sampled_from((SERVICE, CLIENT)),
+       target=st.sampled_from(("e1", "e2")), motive=st.sampled_from(("m1", "m2")),
+       reply=st.sampled_from(("T", "F")))
+@settings(max_examples=200, deadline=None)
+def test_match_by_dict_lookup_equals_coefficient_scan(iface, polarity, target, motive, reply):
+    coefficients = dict(iface)
+    for gen, _ in iface:
+        assert coefficients.get(gen, 0) == iface.coefficient(gen)
+    assert (_match(coefficients, polarity, target, "a", motive, reply)
+            == coefficient_match(iface, polarity, target, "a", motive, reply))

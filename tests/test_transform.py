@@ -1,4 +1,9 @@
+import functools
+import operator
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ftig.algebra import Interface, client, service
 from ftig.errors import CapacityError, ScopeError
@@ -6,11 +11,13 @@ from ftig.locglob import globalize
 from ftig.reflection import is_closed
 from ftig.transform import (
     ConditionalInterface, ConditionLiteral, RefinementSpec, RenameMap,
-    annihilate, closed_under_all_assignments, eval_conditional,
+    annihilate, closed_under_all_assignments, conditional_sum, eval_conditional,
     expand_motives, refine, rename,
 )
 
-from conftest import random_interface, random_monoid_interface
+from conftest import (
+    interfaces, outcome, random_interface, random_monoid_interface, sum_parts,
+)
 
 
 class TestExpandMotives:
@@ -267,3 +274,68 @@ class TestConditional:
         ]
         for cond in cases:
             assert evaluate_expression_text(cond.render()) == cond
+
+
+# ------------------------------------------------------- pairwise oracle
+
+def pairwise_conditional_sum(parts):
+    """Oracle: the left fold of ``ConditionalInterface.__add__`` as it stood
+    before sums ran in one pass, as (unconditional, sorted branches)."""
+    unconditional, branches = Interface.zero(), {}
+    for part in parts:
+        unconditional = unconditional + part.unconditional
+        for lit, iface in part.branches:
+            merged = branches.get(lit, Interface.zero()) + iface
+            if merged.is_zero:
+                branches.pop(lit, None)
+            else:
+                branches[lit] = merged
+        scopes = {unconditional.scope} | {i.scope for i in branches.values()}
+        scopes.discard(None)
+        if len(scopes) > 1:
+            raise ScopeError("conditional branches mix local and global interfaces")
+    return unconditional, tuple(sorted(branches.items(), key=lambda t: t[0].sort_key()))
+
+
+LITERALS = (C, NOT_C, ConditionLiteral("d"))
+
+
+@st.composite
+def conditional_interfaces(draw):
+    local = draw(st.booleans())
+    branches = draw(st.dictionaries(st.sampled_from(LITERALS), interfaces(local), max_size=3))
+    return ConditionalInterface(draw(interfaces(local)), branches)
+
+
+def parts_of(cond):
+    return cond.unconditional, cond.branches
+
+
+def negated(cond):
+    return cond.map_interfaces(operator.neg)
+
+
+LOCAL_F = Interface.term(service("f", "a", "m"))
+
+
+class TestConditionalSumOracle:
+    @given(sum_parts(conditional_interfaces(), negated, max_size=6))
+    # the mix of a local branch and a global part is an error even though
+    # the branch cancels later
+    @example([ConditionalInterface(branches={C: LOCAL_F}), ConditionalInterface(F_AT_G),
+              ConditionalInterface(branches={C: -LOCAL_F})])
+    @settings(max_examples=100, deadline=None)
+    def test_conditional_sum_equals_pairwise_fold(self, parts):
+        want = outcome(pairwise_conditional_sum, parts)
+        assert outcome(lambda: parts_of(conditional_sum(iter(parts)))) == want
+        folded = outcome(
+            lambda: parts_of(functools.reduce(operator.add, parts, ConditionalInterface())))
+        assert folded == want
+
+    def test_branches_cancel_and_scope_frees(self):
+        got = conditional_sum([
+            ConditionalInterface(branches={C: LOCAL_F}),
+            ConditionalInterface(branches={C: -LOCAL_F}),
+            ConditionalInterface(F_AT_G),
+        ])
+        assert got == ConditionalInterface(F_AT_G)
