@@ -216,7 +216,10 @@ def _render_result(args, command: str, iface: Interface, **extra) -> int:
 
 def _cmd_localize(args) -> int:
     res = _require_resolved(args)
-    iface = localize(args.entity, _get_plain(res, args.interface))
+    try:
+        iface = localize(args.entity, _get_plain(res, args.interface))
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     return _render_result(args, "localize", iface, entity=args.entity)
 
 
@@ -231,7 +234,10 @@ def _cmd_globalize(args) -> int:
 
 def _cmd_decompose(args) -> int:
     res = _require_resolved(args)
-    parts = decompose(_get_plain(res, args.interface)).parts
+    try:
+        parts = decompose(_get_plain(res, args.interface)).parts
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     return _emit_parts(args, "decompose", "parts", parts, interface=args.interface)
 
 
@@ -277,7 +283,10 @@ def _cmd_rename(args) -> int:
 
 def _cmd_diff(args) -> int:
     res = _require_resolved(args)
-    deltas = diff(_get_architecture(res, args.a), _get_architecture(res, args.b))
+    try:
+        deltas = diff(_get_architecture(res, args.a), _get_architecture(res, args.b))
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     return _emit_parts(args, "diff", "deltas", deltas, a=args.a, b=args.b)
 
 

@@ -373,6 +373,18 @@ class TestExitCodes:
         assert err.startswith(f"error: cannot read {bad}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (("localize", "-e", "e1", "I1", fx("two_entity.fti")),
+         "localize expects a global interface"),
+        (("decompose", "LFTI4MaEIis0", *CORPUS), "decompose expects a global interface"),
+        (("diff", "CondPair", "CondPair", fx("conditional.fti")),
+         "member f is conditional; evaluate it before diffing"),
+    ], ids=["localize-local", "decompose-local", "diff-conditional"])
+    def test_scope_and_conditional_misuse_is_exit_2(self, capsys, argv, message):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_console_script_entry_point(self):
         out = subprocess.run(
             [sys.executable, "-m", "ftig.cli", "closed", "TwoEntity", fx("two_entity.fti")],
