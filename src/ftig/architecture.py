@@ -22,8 +22,8 @@ from .errors import LogFormatError, ScopeError
 from .locglob import globalize
 from .reflection import ClosednessReport, is_closed
 from .transform import (
-    AssignmentReport, ConditionalInterface, closed_under_all_assignments,
-    conditional_sum, eval_conditional, expand_motives,
+    AssignmentReport, ConditionalInterface, ConditionalRunningSum,
+    closed_under_all_assignments, conditional_sum, eval_conditional, expand_motives,
 )
 
 
@@ -48,8 +48,9 @@ class Architecture:
 
     def __init__(self, name: str, members=()):
         self.name = name
-        merged: dict[str, ArchMember] = {}
-        order: list[str] = []
+        first: dict[str, ConditionalInterface] = {}
+        repeated: dict[str, ConditionalRunningSum] = {}  # entities listed more than once
+        contained_by: dict[str, bool] = {}
         for item in members:
             if isinstance(item, ArchMember):
                 entity, iface, contained = item.entity, item.interface, item.contained
@@ -59,14 +60,19 @@ class Architecture:
             cond = _as_conditional(iface)
             if cond.scope == "global":
                 raise ScopeError(f"member {entity} must hold a local interface")
-            if entity in merged:
-                prev = merged[entity]
-                merged[entity] = ArchMember(entity, prev.interface + cond,
-                                            prev.contained or contained)
+            if entity not in first:
+                first[entity] = cond
             else:
-                merged[entity] = ArchMember(entity, cond, contained)
-                order.append(entity)
-        self.members: tuple[ArchMember, ...] = tuple(merged[e] for e in order)
+                if entity not in repeated:
+                    repeated[entity] = ConditionalRunningSum()
+                    repeated[entity].add(first[entity])
+                repeated[entity].add(cond)
+            contained_by[entity] = contained_by.get(entity, False) or contained
+        self.members: tuple[ArchMember, ...] = tuple(
+            ArchMember(entity, repeated[entity].total() if entity in repeated else cond,
+                       contained_by[entity])
+            for entity, cond in first.items()
+        )
 
     def entities(self) -> tuple[str, ...]:
         return tuple(m.entity for m in self.members)
@@ -289,7 +295,8 @@ def comply_events(events, arch: Architecture, assignment=None) -> ComplianceRepo
             )
         if ev.source in members:
             iface = members[ev.source]
-            verdict = _match(coefficients[ev.source], SERVICE, ev.destination, ev.action, ev.motive, ev.reply)
+            verdict = _match(coefficients[ev.source], SERVICE, ev.destination, ev.action,
+                             ev.motive, ev.reply)
             if verdict == "reply-forbidden":
                 violations.append(Violation(index, "reply-forbidden", "outgoing", ev.source))
             elif verdict == "unmatched":
@@ -298,7 +305,8 @@ def comply_events(events, arch: Architecture, assignment=None) -> ComplianceRepo
                     _candidates(iface, SERVICE, ev.destination, ev.action, ev.motive)))
         if ev.destination in members:
             iface = members[ev.destination]
-            verdict = _match(coefficients[ev.destination], CLIENT, ev.source, ev.action, ev.motive, ev.reply)
+            verdict = _match(coefficients[ev.destination], CLIENT, ev.source, ev.action,
+                             ev.motive, ev.reply)
             if verdict == "reply-forbidden":
                 violations.append(Violation(index, "reply-forbidden", "incoming", ev.destination))
             elif verdict == "unmatched":

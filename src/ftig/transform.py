@@ -233,29 +233,46 @@ class ConditionalInterface:
         return f"ConditionalInterface<{self.render()}>"
 
 
-def conditional_sum(parts: Iterable[ConditionalInterface]) -> ConditionalInterface:
-    """Sum of conditional interfaces in one pass: one running sum for the
-    unconditional parts and one per literal.
+class ConditionalRunningSum:
+    """A sum of conditional interfaces built in one pass: one running sum
+    for the unconditional parts and one per literal.
 
-    Equal, value and errors, to folding ``+`` left to right: each part adds
-    its unconditional interface and then its branches in literal order, and
-    the scopes of the nonzero sums are compared after every part.
+    ``add`` runs the checks of ``total + part`` in the same order, so the
+    value and the first error equal those of a left fold of ``+``: the
+    part's unconditional interface, then its branches in literal order,
+    then the scopes of the nonzero sums are compared.
     """
-    unconditional = RunningSum()
-    branches: dict[ConditionLiteral, RunningSum] = {}
-    nonzero = Counter()  # scope -> running sums of that scope with nonzero total
-    for part in parts:
+
+    __slots__ = ("_unconditional", "_branches", "_nonzero")
+
+    def __init__(self):
+        self._unconditional = RunningSum()
+        self._branches: dict[ConditionLiteral, RunningSum] = {}
+        self._nonzero = Counter()  # scope -> running sums of that scope with nonzero total
+
+    def add(self, part: ConditionalInterface) -> None:
         for lit, iface in ((None, part.unconditional), *part.branches):
-            running = unconditional if lit is None else branches.setdefault(lit, RunningSum())
-            nonzero[running.scope] -= 1
+            running = (self._unconditional if lit is None
+                       else self._branches.setdefault(lit, RunningSum()))
+            self._nonzero[running.scope] -= 1
             running.add(iface)
-            nonzero[running.scope] += 1
-        if nonzero[LOCAL] > 0 and nonzero[GLOBAL] > 0:
+            self._nonzero[running.scope] += 1
+        if self._nonzero[LOCAL] > 0 and self._nonzero[GLOBAL] > 0:
             raise ScopeError(_MIXED_BRANCHES)
-    return ConditionalInterface(
-        unconditional.total(),
-        tuple((lit, running.total()) for lit, running in branches.items()),
-    )
+
+    def total(self) -> ConditionalInterface:
+        return ConditionalInterface(
+            self._unconditional.total(),
+            tuple((lit, running.total()) for lit, running in self._branches.items()),
+        )
+
+
+def conditional_sum(parts: Iterable[ConditionalInterface]) -> ConditionalInterface:
+    """Sum of ``parts`` in one pass; equal, value and errors, to folding ``+``."""
+    running = ConditionalRunningSum()
+    for part in parts:
+        running.add(part)
+    return running.total()
 
 
 def eval_conditional(cond: ConditionalInterface, assignment: Mapping[str, bool]) -> Interface:

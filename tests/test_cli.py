@@ -331,6 +331,16 @@ class TestArithmeticContract:
         assert code == 3 and out == ""
         assert err == "error: coefficient 9223372036854775808 exceeds 64-bit signed range\n"
 
+    def test_first_overflowing_listing_wins(self, capsys, tmp_path):
+        # e2's second listing overflows before e1's does, in listing order
+        spec = tmp_path / "twice.fti"
+        spec.write_text(HEADER + f"architecture Twice {{\n  e1 : {{ {MAX} x e2.a(m) }},\n"
+                        f"  e2 : {{ {MAX} x e1.a(m) }},\n  e2 : {{ e1.a(m) }},\n"
+                        "  e1 : { 2 x e2.a(m) }\n}\n")
+        code, out, err = invoke(capsys, "closed", "Twice", str(spec))
+        assert code == 3 and out == ""
+        assert err == "error: coefficient 9223372036854775808 exceeds 64-bit signed range\n"
+
     @pytest.mark.parametrize("body, first, second", [
         ("e2.a(m) + e2.a(m)@e1", "local", "global"),
         ("e2.a(m)@e1 - e2.a(m)", "global", "local"),
