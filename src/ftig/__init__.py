@@ -26,8 +26,8 @@ from .reflection import (
 )
 from .transform import (
     AssignmentReport, ConditionalInterface, ConditionLiteral, RefinementSpec,
-    RenameMap, annihilate, closed_under_all_assignments, conditional_sum,
-    eval_conditional, expand_motives, refine, rename,
+    RenameMap, annihilate, closed_under_all_assignments, eval_conditional,
+    expand_motives, refine, rename,
 )
 
 __version__ = "0.1.0"
@@ -40,8 +40,8 @@ __all__ = [
     "Generator", "Interface", "LOCAL", "LogFormatError", "ParseError",
     "RefinementSpec", "RenameMap", "Residual", "SERVICE", "ScopeError",
     "TransferEvent", "annihilate", "check_closed", "client",
-    "closed_under_all_assignments", "comply_events", "conditional_sum",
-    "decompose", "diff", "eval_conditional", "expand_motives", "global_sum", "globalize",
+    "closed_under_all_assignments", "comply_events", "decompose", "diff",
+    "eval_conditional", "expand_motives", "global_sum", "globalize",
     "interface_sum", "is_closed", "localize", "read_event_log", "recompose",
     "reduce_modulo_reflection", "refine", "reflect_generator", "rename",
     "service",

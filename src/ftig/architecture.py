@@ -22,8 +22,8 @@ from .errors import LogFormatError, ScopeError
 from .locglob import globalize
 from .reflection import ClosednessReport, is_closed
 from .transform import (
-    AssignmentReport, ConditionalInterface, ConditionalRunningSum,
-    closed_under_all_assignments, conditional_sum, eval_conditional, expand_motives,
+    AssignmentReport, ConditionalInterface, closed_under_all_assignments,
+    conditional_sum, eval_conditional, expand_motives,
 )
 
 
@@ -48,9 +48,8 @@ class Architecture:
 
     def __init__(self, name: str, members=()):
         self.name = name
-        first: dict[str, ConditionalInterface] = {}
-        repeated: dict[str, ConditionalRunningSum] = {}  # entities listed more than once
-        contained_by: dict[str, bool] = {}
+        merged: dict[str, ArchMember] = {}
+        order: list[str] = []
         for item in members:
             if isinstance(item, ArchMember):
                 entity, iface, contained = item.entity, item.interface, item.contained
@@ -60,19 +59,14 @@ class Architecture:
             cond = _as_conditional(iface)
             if cond.scope == "global":
                 raise ScopeError(f"member {entity} must hold a local interface")
-            if entity not in first:
-                first[entity] = cond
+            if entity in merged:
+                prev = merged[entity]
+                merged[entity] = ArchMember(entity, prev.interface + cond,
+                                            prev.contained or contained)
             else:
-                if entity not in repeated:
-                    repeated[entity] = ConditionalRunningSum()
-                    repeated[entity].add(first[entity])
-                repeated[entity].add(cond)
-            contained_by[entity] = contained_by.get(entity, False) or contained
-        self.members: tuple[ArchMember, ...] = tuple(
-            ArchMember(entity, repeated[entity].total() if entity in repeated else cond,
-                       contained_by[entity])
-            for entity, cond in first.items()
-        )
+                merged[entity] = ArchMember(entity, cond, contained)
+                order.append(entity)
+        self.members: tuple[ArchMember, ...] = tuple(merged[e] for e in order)
 
     def entities(self) -> tuple[str, ...]:
         return tuple(m.entity for m in self.members)

@@ -184,7 +184,10 @@ def _cmd_normalize(args) -> int:
     if args.modulo_reflection:
         if not value.is_plain:
             raise CliError("cannot reduce a conditional interface modulo reflection")
-        residual = reduce_modulo_reflection(value.unconditional)
+        try:
+            residual = reduce_modulo_reflection(value.unconditional)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
         for gen in residual.non_cancellable:
             print(f"warning: non-cancellable element {gen.text()}", file=sys.stderr)
         doc = report.document(

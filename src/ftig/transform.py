@@ -163,11 +163,13 @@ class ConditionalInterface:
     def __init__(self, unconditional: Interface = Interface.zero(),
                  branches: Mapping[ConditionLiteral, Interface] | Iterable[tuple[ConditionLiteral, Interface]] = ()):
         items = branches.items() if isinstance(branches, Mapping) else branches
-        sums: dict[ConditionLiteral, RunningSum] = {}
+        acc: dict[ConditionLiteral, Interface] = {}
         for lit, iface in items:
-            sums.setdefault(lit, RunningSum()).add(iface)
-        totals = ((lit, running.total()) for lit, running in sums.items())
-        acc = {lit: iface for lit, iface in totals if not iface.is_zero}
+            merged = acc.get(lit, Interface.zero()) + iface
+            if merged.is_zero:
+                acc.pop(lit, None)
+            else:
+                acc[lit] = merged
         scopes = {unconditional.scope} | {i.scope for i in acc.values()}
         scopes.discard(None)
         if len(scopes) > 1:
@@ -233,46 +235,28 @@ class ConditionalInterface:
         return f"ConditionalInterface<{self.render()}>"
 
 
-class ConditionalRunningSum:
-    """A sum of conditional interfaces built in one pass: one running sum
-    for the unconditional parts and one per literal.
-
-    ``add`` runs the checks of ``total + part`` in the same order, so the
-    value and the first error equal those of a left fold of ``+``: the
-    part's unconditional interface, then its branches in literal order,
-    then the scopes of the nonzero sums are compared.
-    """
-
-    __slots__ = ("_unconditional", "_branches", "_nonzero")
-
-    def __init__(self):
-        self._unconditional = RunningSum()
-        self._branches: dict[ConditionLiteral, RunningSum] = {}
-        self._nonzero = Counter()  # scope -> running sums of that scope with nonzero total
-
-    def add(self, part: ConditionalInterface) -> None:
-        for lit, iface in ((None, part.unconditional), *part.branches):
-            running = (self._unconditional if lit is None
-                       else self._branches.setdefault(lit, RunningSum()))
-            self._nonzero[running.scope] -= 1
-            running.add(iface)
-            self._nonzero[running.scope] += 1
-        if self._nonzero[LOCAL] > 0 and self._nonzero[GLOBAL] > 0:
-            raise ScopeError(_MIXED_BRANCHES)
-
-    def total(self) -> ConditionalInterface:
-        return ConditionalInterface(
-            self._unconditional.total(),
-            tuple((lit, running.total()) for lit, running in self._branches.items()),
-        )
-
-
 def conditional_sum(parts: Iterable[ConditionalInterface]) -> ConditionalInterface:
-    """Sum of ``parts`` in one pass; equal, value and errors, to folding ``+``."""
-    running = ConditionalRunningSum()
+    """Sum of ``parts`` in one pass; equal, value and errors, to folding ``+``.
+
+    One running sum holds the unconditional parts and one per literal.  Each
+    part adds its unconditional interface, then its branches in literal
+    order; then the scopes of the nonzero sums are compared.
+    """
+    unconditional = RunningSum()
+    branches: dict[ConditionLiteral, RunningSum] = {}
+    nonzero = Counter()  # scope -> running sums of that scope with nonzero total
     for part in parts:
-        running.add(part)
-    return running.total()
+        for lit, iface in ((None, part.unconditional), *part.branches):
+            running = unconditional if lit is None else branches.setdefault(lit, RunningSum())
+            nonzero[running.scope] -= 1
+            running.add(iface)
+            nonzero[running.scope] += 1
+        if nonzero[LOCAL] > 0 and nonzero[GLOBAL] > 0:
+            raise ScopeError(_MIXED_BRANCHES)
+    return ConditionalInterface(
+        unconditional.total(),
+        tuple((lit, running.total()) for lit, running in branches.items()),
+    )
 
 
 def eval_conditional(cond: ConditionalInterface, assignment: Mapping[str, bool]) -> Interface:

@@ -389,7 +389,9 @@ class TestExitCodes:
         (("decompose", "LFTI4MaEIis0", *CORPUS), "decompose expects a global interface"),
         (("diff", "CondPair", "CondPair", fx("conditional.fti")),
          "member f is conditional; evaluate it before diffing"),
-    ], ids=["localize-local", "decompose-local", "diff-conditional"])
+        (("normalize", "LFTI4MaEIis1", "--modulo-reflection", *CORPUS),
+         "cannot reduce a local interface modulo reflection"),
+    ], ids=["localize-local", "decompose-local", "diff-conditional", "normalize-local"])
     def test_scope_and_conditional_misuse_is_exit_2(self, capsys, argv, message):
         code, out, err = invoke(capsys, *argv)
         assert code == 2 and out == ""
