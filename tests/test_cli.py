@@ -103,6 +103,15 @@ class TestClosed:
                               *CORPUS, fx("closed_arch.fti"))
         assert code == 0 and out == "CLOSED\n"
 
+    @pytest.mark.parametrize("fmt, golden", [("json", "cond_open_closed.json"),
+                                             ("text", "cond_open_closed.txt")])
+    def test_conditional_report_golden(self, capsys, fmt, golden):
+        # three variables, negated literals, a /T term and a TF self-loop
+        code, out, err = invoke(capsys, "closed", "CondOpen", fx("cond_open.fti"),
+                                "--format", fmt)
+        assert code == 1 and err == ""
+        assert out == (FIXTURES / "golden" / golden).read_text(encoding="utf-8")
+
 
 class TestCheck:
     def test_corpus_checks_clean(self, capsys):
@@ -338,6 +347,16 @@ class TestArithmeticContract:
                         f"  e2 : {{ {MAX} x e1.a(m) }},\n  e2 : {{ e1.a(m) }},\n"
                         "  e1 : { 2 x e2.a(m) }\n}\n")
         code, out, err = invoke(capsys, "closed", "Twice", str(spec))
+        assert code == 3 and out == ""
+        assert err == "error: coefficient 9223372036854775808 exceeds 64-bit signed range\n"
+
+    def test_evaluated_conditional_sum_overflows(self, capsys, tmp_path):
+        # under c=true the member evaluates to 2**63 x ~e1.a(m), which
+        # overflows; reduced separately, the two parts would sum to -2**63
+        spec = tmp_path / "cond.fti"
+        spec.write_text(HEADER + "condition c\narchitecture Big {\n"
+                        f"  e2 : {{ {2**62} x ~e1.a(m) + {2**62} x ~e1.a(m) <| c |> 0 }}\n}}\n")
+        code, out, err = invoke(capsys, "closed", "Big", str(spec))
         assert code == 3 and out == ""
         assert err == "error: coefficient 9223372036854775808 exceeds 64-bit signed range\n"
 
