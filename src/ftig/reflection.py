@@ -52,6 +52,16 @@ class Residual:
     canonical: Interface
     non_cancellable: tuple[Generator, ...] = ()
 
+    @classmethod
+    def of(cls, canonical: Interface) -> Residual:
+        """The residual with this canonical form.
+
+        Reduction leaves non-TF terms as they are and maps no TF term onto
+        one, so the non-TF terms of ``canonical`` are the non-cancellable
+        elements, in generator order.
+        """
+        return cls(canonical, tuple(g for g, _ in canonical if g.alpha != ALPHA_TF))
+
     @property
     def is_zero(self) -> bool:
         return self.canonical.is_zero and not self.non_cancellable
@@ -66,22 +76,23 @@ def reduce_modulo_reflection(iface: Interface) -> Residual:
     if iface.scope == "local":
         raise ScopeError("cannot reduce a local interface modulo reflection")
     acc = []
-    stuck = []
     for gen, coeff in iface:
-        if gen.alpha != ALPHA_TF:
-            stuck.append(gen)
         reflected = reflect_generator(gen)
         if reflected is None:
             continue
         canon_gen, sign = reflected
         acc.append((canon_gen, sign * coeff))
-    return Residual(Interface(acc), tuple(sorted(stuck, key=Generator.sort_key)))
+    return Residual.of(Interface(acc))
 
 
 @dataclass(frozen=True)
 class ClosednessReport:
     closed: bool
     residual: Residual
+
+    @classmethod
+    def of(cls, residual: Residual) -> ClosednessReport:
+        return cls(residual.is_zero, residual)
 
     def residual_lines(self) -> list[str]:
         """One line per residual term, then one per non-cancellable element."""
@@ -101,5 +112,4 @@ class ClosednessReport:
 
 def is_closed(iface: Interface) -> ClosednessReport:
     """Zero-sum integrity check: closed iff the residual vanishes entirely."""
-    residual = reduce_modulo_reflection(iface)
-    return ClosednessReport(residual.is_zero, residual)
+    return ClosednessReport.of(reduce_modulo_reflection(iface))

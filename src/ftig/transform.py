@@ -2,9 +2,11 @@
 
 All of these are group homomorphisms: motive expansion, entity refinement,
 annihilation of designated elements, and catalog renaming.  Conditional
-interfaces attach branches guarded by boolean condition literals; the
-all-assignments check enumerates every truth assignment and applies the
-closedness check to each evaluation.
+interfaces attach branches guarded by boolean condition literals.  The
+all-assignments check reports closedness under every truth assignment.
+Reduction modulo reflection is a homomorphism too, so it reduces the
+unconditional part and each branch once and sums, per assignment, the
+reduced parts that assignment selects.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
-from .algebra import GLOBAL, LOCAL, Generator, Interface, RunningSum, interface_sum
+from .algebra import GLOBAL, I64_MAX, LOCAL, Generator, Interface, RunningSum, interface_sum
 from .errors import CapacityError, ScopeError
-from .reflection import ClosednessReport, is_closed
+from .reflection import ClosednessReport, Residual, is_closed, reduce_modulo_reflection
 
 MAX_CONDITION_VARS = 16
 
@@ -279,15 +281,34 @@ class AssignmentReport:
 
 
 def closed_under_all_assignments(cond: ConditionalInterface) -> AssignmentReport:
-    """Closedness check under every assignment of the condition variables."""
+    """Closedness check under every assignment of the condition variables.
+
+    The residual under an assignment is the reduced unconditional part plus
+    the reduced branches whose literal the assignment satisfies, so there
+    are k + 1 reductions in all and one sum per assignment.  Assignments
+    run in ``itertools.product`` order, ``False`` first.
+    """
     variables = cond.variables()
     if len(variables) > MAX_CONDITION_VARS:
         raise CapacityError(
             f"{len(variables)} condition variables exceed the limit of {MAX_CONDITION_VARS}"
         )
-    cases = []
-    for values in itertools.product((False, True), repeat=len(variables)):
-        assignment = dict(zip(variables, values))
-        report = is_closed(eval_conditional(cond, assignment))
-        cases.append((tuple(sorted(assignment.items())), report))
-    return AssignmentReport(all(rep.closed for _, rep in cases), tuple(cases))
+    assignments = [dict(zip(variables, values))
+                   for values in itertools.product((False, True), repeat=len(variables))]
+    magnitude = sum(abs(c) for part in (cond.unconditional, *(i for _, i in cond.branches))
+                    for _, c in part)
+    # reduced parts could sum where an evaluation overflows or is local, so those evaluate
+    if cond.scope == LOCAL or magnitude > I64_MAX:
+        reports = [is_closed(eval_conditional(cond, a)) for a in assignments]
+    else:
+        base = reduce_modulo_reflection(cond.unconditional).canonical
+        reduced = [(lit, reduce_modulo_reflection(iface).canonical)
+                   for lit, iface in cond.branches]
+        reports = [
+            ClosednessReport.of(Residual.of(interface_sum(
+                (base, *(r for lit, r in reduced if lit.satisfied_by(a)))
+            )))
+            for a in assignments
+        ]
+    cases = tuple((tuple(sorted(a.items())), rep) for a, rep in zip(assignments, reports))
+    return AssignmentReport(all(rep.closed for _, rep in cases), cases)

@@ -1,18 +1,19 @@
 import functools
+import itertools
 import operator
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ftig.algebra import Interface, client, service
+from ftig.algebra import ALPHA_TF, Generator, Interface, client, service
 from ftig.errors import CapacityError, ScopeError
 from ftig.locglob import globalize
-from ftig.reflection import is_closed
+from ftig.reflection import ClosednessReport, Residual, is_closed, reflect_generator
 from ftig.transform import (
-    ConditionalInterface, ConditionLiteral, RefinementSpec, RenameMap,
-    annihilate, closed_under_all_assignments, conditional_sum, eval_conditional,
-    expand_motives, refine, rename,
+    MAX_CONDITION_VARS, AssignmentReport, ConditionalInterface, ConditionLiteral,
+    RefinementSpec, RenameMap, annihilate, closed_under_all_assignments, conditional_sum,
+    eval_conditional, expand_motives, refine, rename,
 )
 
 from conftest import (
@@ -339,3 +340,93 @@ class TestConditionalSumOracle:
             ConditionalInterface(F_AT_G),
         ])
         assert got == ConditionalInterface(F_AT_G)
+
+
+# ------------------------------------------------ enumeration oracle
+
+def enumerated_closedness(cond):
+    """Oracle: ``closed_under_all_assignments`` as it stood before it reduced
+    each part once: evaluate every assignment, then reduce the evaluation
+    (with the reduction loop of that time)."""
+    variables = cond.variables()
+    if len(variables) > MAX_CONDITION_VARS:
+        raise CapacityError(
+            f"{len(variables)} condition variables exceed the limit of {MAX_CONDITION_VARS}"
+        )
+    cases = []
+    for values in itertools.product((False, True), repeat=len(variables)):
+        assignment = dict(zip(variables, values))
+        iface = eval_conditional(cond, assignment)
+        if iface.scope == "local":
+            raise ScopeError("cannot reduce a local interface modulo reflection")
+        acc, stuck = [], []
+        for gen, coeff in iface:
+            if gen.alpha != ALPHA_TF:
+                stuck.append(gen)
+            reflected = reflect_generator(gen)
+            if reflected is not None:
+                acc.append((reflected[0], reflected[1] * coeff))
+        residual = Residual(Interface(acc), tuple(sorted(stuck, key=Generator.sort_key)))
+        cases.append((tuple(sorted(assignment.items())),
+                      ClosednessReport(residual.is_zero, residual)))
+    return AssignmentReport(all(rep.closed for _, rep in cases), tuple(cases))
+
+
+GUARD_LITERALS = (C, NOT_C, ConditionLiteral("d"), ConditionLiteral("d", negated=True),
+                  ConditionLiteral("e", negated=True))
+
+
+def reflected(iface):
+    """The reflection partners of ``iface``'s terms: with it, a reflector."""
+    return Interface((g.reflection_partner(), c) for g, c in iface)
+
+
+@st.composite
+def guarded_conditionals(draw):
+    """Mostly global conditional interfaces whose branches are often the
+    negation or the reflection of an earlier part, so that some
+    assignments cancel; coefficients near the i64 limits."""
+    local = draw(st.integers(0, 4)) == 0
+    drawn = [draw(interfaces(local))]
+    branches = []
+    for lit in draw(st.lists(st.sampled_from(GUARD_LITERALS), unique=True, max_size=4)):
+        how = draw(st.sampled_from(("fresh", "negate", "reflect")))
+        source = draw(st.sampled_from(drawn))
+        try:
+            if how == "negate":
+                iface = -source
+            elif how == "reflect" and not local:
+                iface = reflected(source)
+            else:
+                iface = draw(interfaces(local))
+        except OverflowError:  # the negation of -2**63
+            iface = draw(interfaces(local))
+        drawn.append(iface)
+        branches.append((lit, iface))
+    return ConditionalInterface(drawn[0], branches)
+
+
+HALF = 2**62
+PARTNERS_CLIENT = client("e1", "a", "m", host="e2")
+LOCAL_G = Interface.term(service("g", "a", "m"))
+
+
+class TestAllAssignmentsOracle:
+    @given(guarded_conditionals())
+    # evaluated under c the sum overflows; the reduced parts sum to -2**63
+    @example(ConditionalInterface(Interface.term(PARTNERS_CLIENT, HALF),
+                                  {C: Interface.term(PARTNERS_CLIENT, HALF)}))
+    # the same at exactly I64_MAX in magnitude: no overflow on either side
+    @example(ConditionalInterface(Interface.term(PARTNERS_CLIENT, HALF),
+                                  {C: Interface.term(PARTNERS_CLIENT, HALF - 1)}))
+    # local parts whose every evaluation is zero: closed, never reduced
+    @example(ConditionalInterface(LOCAL_G, {C: -LOCAL_G, NOT_C: -LOCAL_G}))
+    # non-TF terms only in branches, one of them cancelled by another branch
+    @example(ConditionalInterface(F_AT_G, {
+        C: Interface.term(service("f", "a", "m", host="g", alpha="T")),
+        ConditionLiteral("d"): Interface.term(service("f", "a", "m", host="g", alpha="T"), -1),
+        ConditionLiteral("e", negated=True): Interface.term(client("g", "a", "m", host="f"))}))
+    @settings(max_examples=300, deadline=None)
+    def test_reduced_parts_equal_enumeration(self, cond):
+        assert outcome(closed_under_all_assignments, cond) == \
+            outcome(enumerated_closedness, cond)
