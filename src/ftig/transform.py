@@ -304,6 +304,7 @@ def closed_under_all_assignments(cond: ConditionalInterface) -> AssignmentReport
         base = reduce_modulo_reflection(cond.unconditional).canonical
         reduced = [(lit, reduce_modulo_reflection(iface).canonical)
                    for lit, iface in cond.branches]
+        reduced = [(lit, r) for lit, r in reduced if r]  # branches in the kernel add nothing
         reports = [
             ClosednessReport.of(Residual.of(interface_sum(
                 (base, *(r for lit, r in reduced if lit.satisfied_by(a)))
