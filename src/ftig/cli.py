@@ -2,8 +2,10 @@
 
 Exit status: 0 success (or closed / compliant), 1 failed check, 2 static
 error (parse, resolution, unknown name, malformed or undecodable input),
-3 capacity or arithmetic error.  Results go to stdout, diagnostics to
-stderr; set NO_COLOR to disable ANSI coloring of diagnostics.
+3 capacity or arithmetic error, 4 internal error (an unexpected exception,
+reported by ``main`` on one line; ``run`` lets it propagate).  Results go
+to stdout, diagnostics to stderr; set NO_COLOR to disable ANSI coloring of
+diagnostics.
 """
 
 from __future__ import annotations
@@ -470,7 +472,13 @@ def run(argv=None) -> int:
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+    except Exception as exc:  # a fault in ftig must not read as a verdict
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        code = 4
+    sys.exit(code)
 
 
 if __name__ == "__main__":

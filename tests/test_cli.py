@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ftig import cli
 from ftig.cli import run
 
 from conftest import FIXTURES, cli_env
@@ -415,6 +416,20 @@ class TestExitCodes:
         code, out, err = invoke(capsys, *argv)
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
+
+    def test_internal_error_is_exit_4(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("two\nlines")
+        monkeypatch.setattr(cli, "_cmd_closed", broken)
+        with pytest.raises(RuntimeError):  # run() lets faults propagate
+            run(["closed", "TwoEntity", fx("two_entity.fti")])
+        monkeypatch.setattr(sys, "argv", ["fti", "closed", "TwoEntity", fx("two_entity.fti")])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main()
+        assert exit_info.value.code == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "internal error: RuntimeError: two lines\n"
 
     def test_console_script_entry_point(self):
         out = subprocess.run(
