@@ -284,8 +284,8 @@ def closed_under_all_assignments(cond: ConditionalInterface) -> AssignmentReport
     """Closedness check under every assignment of the condition variables.
 
     The residual under an assignment is the reduced unconditional part plus
-    the reduced branches whose literal the assignment satisfies, so there
-    are k + 1 reductions in all and one sum per assignment.  Assignments
+    the reduced branches whose literal the assignment satisfies, so each
+    part is reduced once and each assignment costs one sum.  Assignments
     run in ``itertools.product`` order, ``False`` first.
     """
     variables = cond.variables()
@@ -297,7 +297,7 @@ def closed_under_all_assignments(cond: ConditionalInterface) -> AssignmentReport
                    for values in itertools.product((False, True), repeat=len(variables))]
     magnitude = sum(abs(c) for part in (cond.unconditional, *(i for _, i in cond.branches))
                     for _, c in part)
-    # reduced parts could sum where an evaluation overflows or is local, so those evaluate
+    # reducing first could hide an evaluation's overflow or local scope: evaluate those
     if cond.scope == LOCAL or magnitude > I64_MAX:
         reports = [is_closed(eval_conditional(cond, a)) for a in assignments]
     else:

@@ -407,18 +407,18 @@ def guarded_conditionals(draw):
 
 
 HALF = 2**62
-PARTNERS_CLIENT = client("e1", "a", "m", host="e2")
+CLIENT_AT_E2 = client("e1", "a", "m", host="e2")
 LOCAL_G = Interface.term(service("g", "a", "m"))
 
 
 class TestAllAssignmentsOracle:
     @given(guarded_conditionals())
     # evaluated under c the sum overflows; the reduced parts sum to -2**63
-    @example(ConditionalInterface(Interface.term(PARTNERS_CLIENT, HALF),
-                                  {C: Interface.term(PARTNERS_CLIENT, HALF)}))
+    @example(ConditionalInterface(Interface.term(CLIENT_AT_E2, HALF),
+                                  {C: Interface.term(CLIENT_AT_E2, HALF)}))
     # the same at exactly I64_MAX in magnitude: no overflow on either side
-    @example(ConditionalInterface(Interface.term(PARTNERS_CLIENT, HALF),
-                                  {C: Interface.term(PARTNERS_CLIENT, HALF - 1)}))
+    @example(ConditionalInterface(Interface.term(CLIENT_AT_E2, HALF),
+                                  {C: Interface.term(CLIENT_AT_E2, HALF - 1)}))
     # local parts whose every evaluation is zero: closed, never reduced
     @example(ConditionalInterface(LOCAL_G, {C: -LOCAL_G, NOT_C: -LOCAL_G}))
     # non-TF terms only in branches, one of them cancelled by another branch
