@@ -377,7 +377,7 @@ GUARD_LITERALS = (C, NOT_C, ConditionLiteral("d"), ConditionLiteral("d", negated
 
 
 def reflected(iface):
-    """The reflection partners of ``iface``'s terms: with it, a reflector."""
+    """The reflection partner of each term of ``iface``, same coefficient."""
     return Interface((g.reflection_partner(), c) for g, c in iface)
 
 
