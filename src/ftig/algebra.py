@@ -13,8 +13,9 @@ Coefficients are 64-bit signed with checked arithmetic: overflow raises
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Union
 
 from .errors import ScopeError
 
@@ -234,10 +235,6 @@ class Interface:
     @property
     def is_local(self) -> bool:
         return self._scope != GLOBAL
-
-    @property
-    def is_global(self) -> bool:
-        return self._scope != LOCAL
 
     def in_monoid(self) -> bool:
         """True when every coefficient is positive and every reply constraint is TF."""

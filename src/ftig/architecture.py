@@ -151,19 +151,17 @@ def check_closed(arch: Architecture, catalog: Catalog | None = None) -> Architec
 
 def diff(a: Architecture, b: Architecture) -> tuple[tuple[str, Interface], ...]:
     """Per-entity deltas turning ``a`` into ``b`` (zero deltas included)."""
-    entities = sorted(set(a.entities()) | set(b.entities()))
-    out = []
-    for entity in entities:
-        out.append((entity, _plain_member(b, entity) - _plain_member(a, entity)))
-    return tuple(out)
+    before = {m.entity: m for m in a.members}
+    after = {m.entity: m for m in b.members}
+    return tuple((entity, _plain_member(after.get(entity)) - _plain_member(before.get(entity)))
+                 for entity in sorted(before.keys() | after.keys()))
 
 
-def _plain_member(arch: Architecture, entity: str) -> Interface:
-    member = arch.member(entity)
+def _plain_member(member: ArchMember | None) -> Interface:
     if member is None:
         return Interface.zero()
     if not member.interface.is_plain:
-        raise ValueError(f"member {entity} is conditional; evaluate it before diffing")
+        raise ValueError(f"member {member.entity} is conditional; evaluate it before diffing")
     return member.interface.unconditional
 
 

@@ -39,6 +39,13 @@ def _strip_host(gen: Generator) -> Generator:
     return Generator(gen.target, gen.action, gen.motive, gen.polarity, None, gen.alpha)
 
 
+def _reflect_withdrawn(gen: Generator, coeff: int) -> tuple[Generator, int]:
+    """A negative TF term as its positive reflection partner; others unchanged."""
+    if coeff > 0 or gen.alpha != ALPHA_TF:
+        return gen, coeff
+    return gen.reflection_partner(), -coeff
+
+
 def localize(entity: str, iface: Interface) -> Interface:
     """Project a global interface onto ``entity``.
 
@@ -51,14 +58,10 @@ def localize(entity: str, iface: Interface) -> Interface:
     if iface.scope == "local":
         raise ScopeError("localize expects a global interface")
     acc = []
-    for gen, coeff in iface:
-        if coeff > 0 or gen.alpha != ALPHA_TF:
-            if gen.host == entity:
-                acc.append((_strip_host(gen), coeff))
-        else:
-            partner = gen.reflection_partner()
-            if partner.host == entity:
-                acc.append((_strip_host(partner), -coeff))
+    for term in iface:
+        gen, coeff = _reflect_withdrawn(*term)
+        if gen.host == entity:
+            acc.append((_strip_host(gen), coeff))
     return Interface(acc)
 
 
@@ -68,25 +71,22 @@ class Decomposition:
 
     parts: tuple[tuple[str, Interface], ...]
 
-    def as_dict(self) -> dict[str, Interface]:
-        return dict(self.parts)
-
 
 def decompose(iface: Interface) -> Decomposition:
-    """Split a global interface into its nonzero per-entity projections."""
+    """Split a global interface into its nonzero per-entity projections.
+
+    One pass puts each term, in input order, under the entity ``localize``
+    projects it onto; the parts are then built in entity order, so each
+    equals ``localize(entity, iface)``, overflow included.
+    """
     if iface.scope == "local":
         raise ScopeError("decompose expects a global interface")
-    candidates = set()
-    for gen, coeff in iface:
-        candidates.add(gen.host)
-        if coeff < 0 and gen.alpha == ALPHA_TF:
-            candidates.add(gen.target)
-    parts = []
-    for entity in sorted(candidates):
-        projected = localize(entity, iface)
-        if not projected.is_zero:
-            parts.append((entity, projected))
-    return Decomposition(tuple(parts))
+    buckets: dict[str, list[tuple[Generator, int]]] = {}
+    for term in iface:
+        gen, coeff = _reflect_withdrawn(*term)
+        buckets.setdefault(gen.host, []).append((_strip_host(gen), coeff))
+    parts = ((entity, Interface(buckets[entity])) for entity in sorted(buckets))
+    return Decomposition(tuple((entity, part) for entity, part in parts if not part.is_zero))
 
 
 def recompose(decomposition: Decomposition, catalog: Catalog | None = None) -> Interface:

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
 
 from .algebra import GLOBAL, I64_MAX, LOCAL, Generator, Interface, RunningSum, interface_sum
 from .errors import CapacityError, ScopeError
@@ -164,6 +164,10 @@ class ConditionalInterface:
 
     def __init__(self, unconditional: Interface = Interface.zero(),
                  branches: Mapping[ConditionLiteral, Interface] | Iterable[tuple[ConditionLiteral, Interface]] = ()):
+        self._unconditional = unconditional
+        if not branches:
+            self._branches = ()
+            return
         items = branches.items() if isinstance(branches, Mapping) else branches
         acc: dict[ConditionLiteral, Interface] = {}
         for lit, iface in items:
@@ -176,7 +180,6 @@ class ConditionalInterface:
         scopes.discard(None)
         if len(scopes) > 1:
             raise ScopeError(_MIXED_BRANCHES)
-        self._unconditional = unconditional
         self._branches = tuple(sorted(acc.items(), key=lambda t: t[0].sort_key()))
 
     @property
@@ -275,9 +278,6 @@ def eval_conditional(cond: ConditionalInterface, assignment: Mapping[str, bool])
 class AssignmentReport:
     closed: bool
     cases: tuple[tuple[tuple[tuple[str, bool], ...], ClosednessReport], ...]
-
-    def failing_assignments(self) -> list[dict[str, bool]]:
-        return [dict(a) for a, rep in self.cases if not rep.closed]
 
 
 def closed_under_all_assignments(cond: ConditionalInterface) -> AssignmentReport:

@@ -417,6 +417,16 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("digit", ["²", "٣"], ids=["superscript-two", "arabic-indic-three"])
+    def test_non_ascii_digit_is_exit_2(self, capsys, tmp_path, digit):
+        # docs/grammar.ebnf: INT = [0-9]+
+        spec = tmp_path / "digit.fti"
+        spec.write_text(f"entity e\naction a\nmotive m\ninterface I {{ {digit} x e.a(m) }}\n",
+                        encoding="utf-8")
+        code, out, err = invoke(capsys, "check", str(spec))
+        assert code == 2 and out == ""
+        assert err == f"error: {spec}:4:15: unexpected character {digit!r}\n"
+
     def test_internal_error_is_exit_4(self, capsys, monkeypatch):
         def broken(args):
             raise RuntimeError("two\nlines")

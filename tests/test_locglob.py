@@ -1,12 +1,16 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ftig.algebra import ALPHA_T, Interface, client, service
+from ftig.algebra import (
+    ALPHA_T, ALPHA_TF, CLIENT, I64_MAX, I64_MIN, SERVICE, Generator, Interface, client, service,
+)
 from ftig.catalog import Catalog
 from ftig.errors import ScopeError
 from ftig.locglob import Decomposition, decompose, globalize, localize, recompose
 from ftig.reflection import reduce_modulo_reflection
 
-from conftest import random_interface, random_monoid_interface
+from conftest import interfaces, outcome, random_interface, random_monoid_interface
 
 
 class TestGlobalize:
@@ -100,7 +104,7 @@ class TestDecompose:
     def test_groups_by_host(self):
         i = Interface.term(service("f", "a", "m1", host="g")) + \
             Interface.term(client("h", "b", "m1", host="g"))
-        parts = decompose(i).as_dict()
+        parts = dict(decompose(i).parts)
         assert parts == {
             "g": Interface.term(service("f", "a", "m1")) +
             Interface.term(client("h", "b", "m1"))
@@ -126,3 +130,72 @@ class TestDecompose:
             exact_failures += back != x
         # negative elements really do route through reflection
         assert exact_failures > 0
+
+
+def old_localize(entity, iface):
+    """``localize`` before the one-pass ``decompose`` (verbatim)."""
+    if iface.scope == "local":
+        raise ScopeError("localize expects a global interface")
+    acc = []
+    for gen, coeff in iface:
+        if coeff > 0 or gen.alpha != ALPHA_TF:
+            if gen.host == entity:
+                acc.append((Generator(gen.target, gen.action, gen.motive, gen.polarity,
+                                      None, gen.alpha), coeff))
+        else:
+            partner = gen.reflection_partner()
+            if partner.host == entity:
+                acc.append((Generator(partner.target, partner.action, partner.motive,
+                                      partner.polarity, None, partner.alpha), -coeff))
+    return Interface(acc)
+
+
+def old_decompose(iface):
+    """``decompose`` before the one-pass rewrite: one ``localize`` of the
+    whole interface per candidate entity."""
+    if iface.scope == "local":
+        raise ScopeError("decompose expects a global interface")
+    candidates = set()
+    for gen, coeff in iface:
+        candidates.add(gen.host)
+        if coeff < 0 and gen.alpha == ALPHA_TF:
+            candidates.add(gen.target)
+    parts = []
+    for entity in sorted(candidates):
+        projected = old_localize(entity, iface)
+        if not projected.is_zero:
+            parts.append((entity, projected))
+    return Decomposition(tuple(parts))
+
+
+# both parts overflow: e1's by negating -2**63, e2's by a partial sum
+TWO_OVERFLOWS = Interface([
+    (client("e1", "a", "m1", host="e2"), I64_MIN),
+    (service("e1", "a", "m2", host="e2"), I64_MAX),
+    (client("e2", "a", "m2", host="e1"), -2),
+])
+
+monoid_elements = st.dictionaries(
+    st.builds(Generator, target=st.sampled_from(("e1", "e2", "e3")), action=st.just("a"),
+              motive=st.tuples(st.sampled_from(("m1", "m2"))),
+              polarity=st.sampled_from((SERVICE, CLIENT)),
+              host=st.sampled_from(("e1", "e2", "e3")), alpha=st.just(ALPHA_TF)),
+    st.integers(1, I64_MAX), max_size=8,
+).map(Interface)
+
+
+class TestDecomposeOracle:
+    @given(iface=interfaces())
+    @example(iface=TWO_OVERFLOWS)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_one_localize_per_entity(self, iface):
+        assert outcome(decompose, iface) == outcome(old_decompose, iface)
+
+    def test_first_entity_overflow_wins(self):
+        assert outcome(decompose, TWO_OVERFLOWS) == (
+            "raised", OverflowError, "coefficient 9223372036854775808 exceeds 64-bit signed range")
+
+    @given(iface=monoid_elements)
+    @settings(max_examples=200, deadline=None)
+    def test_recompose_inverts_on_monoid(self, iface):
+        assert recompose(decompose(iface)) == iface

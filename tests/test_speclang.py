@@ -1,6 +1,11 @@
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+import old_speclang
+from conftest import FIXTURES
 
 from ftig.algebra import Interface, client, service
 from ftig.errors import ParseError
@@ -49,6 +54,74 @@ class TestLexer:
     def test_unexpected_character(self):
         with pytest.raises(ParseError):
             tokenize("a $ b")
+
+
+FIXTURE_TEXTS = {p.name: p.read_text(encoding="utf-8") for p in sorted(FIXTURES.glob("*.fti"))}
+
+# pieces that move token boundaries, lines or columns, or start an error
+PIECES = ("%[", "%]", "%", ":", "->", "<|", "|>", "λ", "\r", "\t", "\n", " ",
+          *"0123456789", "é", "Ω", "ж", "²", "x", "_", "(", ")", "{", "}")
+
+
+@st.composite
+def mutated_fixture(draw) -> str:
+    """A fixture's text with a few pieces inserted, characters deleted or
+    characters replaced by a piece."""
+    text = FIXTURE_TEXTS[draw(st.sampled_from(sorted(FIXTURE_TEXTS)))]
+    for _ in range(draw(st.integers(1, 5))):
+        at = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        piece = draw(st.sampled_from(PIECES))
+        if op == "insert":
+            text = text[:at] + piece + text[at:]
+        elif op == "delete":
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + piece + text[at + 1:]
+    return text
+
+
+def lexed(tokenize_fn, text):
+    """``(kind, text, pos)`` of each token, or the message and position of
+    the ``ParseError``."""
+    try:
+        return [(t.kind, t.text, t.pos) for t in tokenize_fn(text, "m.fti")]
+    except ParseError as exc:
+        return ("ParseError", exc.message, exc.pos)
+
+
+def parsed(parse_fn, text):
+    """The module, positions included, or the ``ParseError``'s message and
+    position."""
+    try:
+        return parse_fn(text, "m.fti")
+    except ParseError as exc:
+        return ("ParseError", exc.message, exc.pos)
+
+
+class TestFrontEndOracle:
+    """The tokenizer and parser equal the character-stepping ones that
+    preceded them (``old_speclang``): tokens, positions, trees and errors."""
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_TEXTS))
+    def test_fixtures(self, name):
+        text = FIXTURE_TEXTS[name]
+        assert lexed(tokenize, text) == lexed(old_speclang.tokenize, text)
+        assert parsed(parse_module, text) == parsed(old_speclang.parse_module, text)
+
+    @given(text=mutated_fixture())
+    @example(text="a\r\n\t%[x\n\ny%]  ->\tb:c :d <|!c|> 12 x λ %] é")
+    @example(text="RIi:L:CSP:SE hmt:2x e:_ a: b::c d:%[c%]")
+    @example(text="entity e\n%[ open\n\n")
+    @example(text="interface I { e.a(m) } %")
+    @example(text="")
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_fixtures(self, text):
+        # a non-ASCII digit was an INT to the old lexer; it is an error now
+        # (test_cli.py::TestExitCodes::test_non_ascii_digit_is_exit_2)
+        assume(not any(ch.isdigit() and not ch.isascii() for ch in text))
+        assert lexed(tokenize, text) == lexed(old_speclang.tokenize, text)
+        assert parsed(parse_module, text) == parsed(old_speclang.parse_module, text)
 
 
 class TestParserPrecedence:

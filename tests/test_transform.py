@@ -256,7 +256,9 @@ class TestConditional:
             branches={ConditionLiteral("d"): Interface.term(client("g", "a", "m", host="f"))})
         report = closed_under_all_assignments(at_g + at_f)
         assert not report.closed
-        assert {"c": True, "d": False} in report.failing_assignments()
+        failing = [dict(a) for a, rep in report.cases if not rep.closed]
+        assert {"c": True, "d": False} in failing
+        assert failing == [{"c": False, "d": True}, {"c": True, "d": False}]
 
     def test_capacity_limit(self):
         branches = {ConditionLiteral(f"v{k}"): Interface.term(service("f", "a", "m", host="g"))
