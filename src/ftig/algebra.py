@@ -240,9 +240,6 @@ class Interface:
         """True when every coefficient is positive and every reply constraint is TF."""
         return all(c > 0 and g.alpha == ALPHA_TF for g, c in self._terms)
 
-    def generators(self) -> tuple[Generator, ...]:
-        return tuple(g for g, _ in self._terms)
-
     def coefficient(self, gen: Generator) -> int:
         for g, c in self._terms:
             if g == gen:

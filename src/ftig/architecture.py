@@ -68,15 +68,6 @@ class Architecture:
                 order.append(entity)
         self.members: tuple[ArchMember, ...] = tuple(merged[e] for e in order)
 
-    def entities(self) -> tuple[str, ...]:
-        return tuple(m.entity for m in self.members)
-
-    def member(self, entity: str) -> ArchMember | None:
-        for m in self.members:
-            if m.entity == entity:
-                return m
-        return None
-
     @property
     def has_conditionals(self) -> bool:
         return any(not m.interface.is_plain for m in self.members)
@@ -209,9 +200,6 @@ def read_event_log(text: str) -> list[TransferEvent]:
             raise LogFormatError("empty column", row_no)
         events.append(TransferEvent(*cells))
     return events
-
-
-VIOLATION_KINDS = ("unmatched-outgoing", "unmatched-incoming", "reply-forbidden")
 
 
 @dataclass(frozen=True)

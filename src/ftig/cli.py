@@ -312,6 +312,17 @@ def _violation_text(v) -> str:
     return f"event {v.index}: {v.kind} at {v.entity}{hint}"
 
 
+def _report_undeclared(unknown, allow_undeclared: bool):
+    """Undeclared names are an error, or warnings under --allow-undeclared."""
+    if not unknown:
+        return
+    if allow_undeclared:
+        for line in unknown:
+            print(f"warning: {line}", file=sys.stderr)
+    else:
+        raise CliError("; ".join(unknown))
+
+
 def _check_event_names(events, res, allow_undeclared: bool):
     catalog = res.catalog
     tables = {"entity": catalog.entities, "action": catalog.actions,
@@ -322,24 +333,24 @@ def _check_event_names(events, res, allow_undeclared: bool):
                            ("action", ev.action), ("motive", ev.motive)):
             if name not in tables[kind]:
                 unknown.append(f"event {index}: undeclared {kind} {name}")
-    if not unknown:
-        return
-    if allow_undeclared:
-        for line in unknown:
-            print(f"warning: {line}", file=sys.stderr)
-    else:
-        raise CliError("; ".join(unknown))
+    _report_undeclared(unknown, allow_undeclared)
 
 
-def _parse_assignments(pairs) -> dict | None:
+def _parse_assignments(pairs, res, allow_undeclared: bool) -> dict | None:
     if not pairs:
         return None
     assignment = {}
+    unknown = []
     for pair in pairs:
         var, eq, value = pair.partition("=")
         if not eq or value not in ("true", "false") or not var:
             raise CliError(f"bad assignment {pair!r}; expected VAR=true or VAR=false")
+        if var in assignment:
+            raise CliError(f"condition variable {var} assigned twice")
+        if var not in res.catalog.condition_vars:
+            unknown.append(f"assignment {pair}: undeclared condition {var}")
         assignment[var] = value == "true"
+    _report_undeclared(unknown, allow_undeclared)
     return assignment
 
 
@@ -349,7 +360,8 @@ def _cmd_comply(args) -> int:
     events = read_event_log(_read_text(args.log))
     _check_event_names(events, res, args.allow_undeclared)
     try:
-        rep = comply_events(events, arch, _parse_assignments(args.assign))
+        rep = comply_events(events, arch,
+                            _parse_assignments(args.assign, res, args.allow_undeclared))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     for warning in rep.warnings:

@@ -29,6 +29,9 @@ class SourcePosition:
             return NotImplemented
         return (self.file, self.line, self.col) == (other.file, other.line, other.col)
 
+    def __hash__(self):
+        return hash((self.file, self.line, self.col))
+
 
 class ParseError(Exception):
     """Lexical or syntactic error, carrying a source position."""

@@ -1,9 +1,8 @@
-"""Specification-language front end: lexer, parser, resolver, printer."""
+"""Specification-language front end: lexer, parser, resolver."""
 
 from .astnodes import SpecModule
 from .lexer import Token, tokenize
 from .parser import parse_expression, parse_module
-from .printer import render_expr, render_module
 from .resolver import (
     Diagnostic, Resolution, build_catalog, evaluate_expression_text, lint, resolve,
 )
@@ -11,5 +10,5 @@ from .resolver import (
 __all__ = [
     "Diagnostic", "Resolution", "SpecModule", "Token", "build_catalog",
     "evaluate_expression_text", "lint", "parse_expression", "parse_module",
-    "render_expr", "render_module", "resolve", "tokenize",
+    "resolve", "tokenize",
 ]

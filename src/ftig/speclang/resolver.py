@@ -67,14 +67,6 @@ class Resolution:
     def directives(self) -> list[CheckDirective]:
         return self.module.directives()
 
-    def plain_interface(self, name: str) -> Interface:
-        value = self.interfaces[name]
-        if isinstance(value, ConditionalInterface):
-            if not value.is_plain:
-                raise ValueError(f"{name} is conditional")
-            return value.unconditional
-        return value
-
 
 class _Evaluator:
     def __init__(self, module: SpecModule, catalog: Catalog, allow_undeclared: bool):

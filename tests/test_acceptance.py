@@ -167,13 +167,15 @@ def test_criterion_5_homomorphism_suite():
 
 def test_criterion_6_example_corpus():
     res = load_corpus("catalog.fti", "lfti_maeiis.fti")
-    is0 = res.plain_interface("LFTI4MaEIis0")
-    is1 = res.plain_interface("LFTI4MaEIis1")
-    res.plain_interface("LFTI4MaEIis2")
+    is0 = res.interfaces["LFTI4MaEIis0"]
+    is1 = res.interfaces["LFTI4MaEIis1"]
+    assert all(isinstance(res.interfaces[n], Interface)
+               for n in ("LFTI4MaEIis0", "LFTI4MaEIis1", "LFTI4MaEIis2"))
     assert is1.coefficient(service("FH", "it", "fp:nsla")) == 0
     assert is1.coefficient(service("FH", "it", "hmt:csla")) > 0
-    comm = res.plain_interface("LFTI4MaEIis0comm")
-    nocomm = res.plain_interface("LFTI4MaEIis0nocomm")
+    comm = res.interfaces["LFTI4MaEIis0comm"]
+    nocomm = res.interfaces["LFTI4MaEIis0nocomm"]
+    assert isinstance(comm, Interface) and isinstance(nocomm, Interface)
     assert is0 == comm + nocomm
     print(PASS.format(n=6, name="transcribed interface corpus"))
 

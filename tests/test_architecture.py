@@ -120,9 +120,11 @@ class TestDiff:
     def test_member_recomposition(self, rng):
         a = arch(("e1", I1), ("e3", random_monoid_interface(rng, local=True)))
         b = arch(("e1", 2 * I1), ("e2", I2), name="B")
+        members_a = {m.entity: m for m in a.members}
+        members_b = {m.entity: m for m in b.members}
         for entity, delta in diff(a, b):
-            member_a = a.member(entity)
-            member_b = b.member(entity)
+            member_a = members_a.get(entity)
+            member_b = members_b.get(entity)
             left = (member_a.interface.unconditional if member_a else Interface.zero()) + delta
             right = member_b.interface.unconditional if member_b else Interface.zero()
             assert left == right

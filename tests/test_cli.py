@@ -295,6 +295,28 @@ class TestComply:
                               "CondPair", fx("conditional.fti"))
         assert code == 2 and "VAR=true" in err
 
+    def test_undeclared_assignment(self, capsys, tmp_path):
+        log = tmp_path / "log.csv"
+        log.write_text("g,f,a,m,T\n")
+        argv = ("comply", "--log", str(log), "--assign", "c=true", "--assign", "zz=true",
+                "CondPair", fx("conditional.fti"))
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: assignment zz=true: undeclared condition zz\n"
+        code, out, err = invoke(capsys, *argv, "--allow-undeclared")
+        assert (code, out) == (0, "COMPLIANT\n")
+        assert err == "warning: assignment zz=true: undeclared condition zz\n"
+
+    def test_repeated_assignment(self, capsys, tmp_path):
+        log = tmp_path / "log.csv"
+        log.write_text("g,f,a,m,T\n")
+        for extra in ((), ("--allow-undeclared",)):
+            code, out, err = invoke(capsys, "comply", "--log", str(log), "--assign", "c=false",
+                                    "--assign", "c=true", "CondPair", fx("conditional.fti"),
+                                    *extra)
+            assert (code, out) == (2, "")
+            assert err == "error: condition variable c assigned twice\n"
+
     def test_deep_nesting_is_a_static_error(self, capsys, tmp_path):
         spec = tmp_path / "deep.fti"
         spec.write_text("entity f\naction a\nmotive m\n"

@@ -27,7 +27,7 @@ def main():
     res = resolve(module)
     assert res.ok, [d.render() for d in res.errors]
 
-    base = res.plain_interface("LFTI4MaEIis0")
+    base = res.interfaces["LFTI4MaEIis0"]
     hosted = expand_motives(globalize("MaEIis", base, res.catalog))
     residual = reduce_modulo_reflection(hosted)
     assert not residual.non_cancellable
