@@ -14,10 +14,9 @@ Coefficients are 64-bit signed with checked arithmetic: overflow raises
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
-from typing import Union
 
 from .errors import ScopeError
+from .record import Record
 
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
@@ -35,16 +34,13 @@ _ALPHA_ORDER = {a: i for i, a in enumerate(ALPHAS)}
 LOCAL = "local"
 GLOBAL = "global"
 
-MotiveLike = Union[str, Iterable[str]]
-
-
 def _check_i64(n: int) -> int:
     if n < I64_MIN or n > I64_MAX:
         raise OverflowError(f"coefficient {n} exceeds 64-bit signed range")
     return n
 
 
-def as_motive(motive: MotiveLike) -> tuple[str, ...]:
+def as_motive(motive: str | Iterable[str]) -> tuple[str, ...]:
     """Normalize a motive to its canonical multiset form (a sorted tuple).
 
     Accepts a single atom name, an iterable of atom names, or the empty
@@ -64,8 +60,7 @@ def render_motive(atoms: tuple[str, ...]) -> str:
     return " + ".join(atoms) if atoms else "0"
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Record):
     """One interface element.
 
     ``host`` is the entity whose interface the element belongs to; ``None``
@@ -74,25 +69,38 @@ class Generator:
     the zero motive.
     """
 
-    target: str
-    action: str
-    motive: tuple[str, ...] = ()
-    polarity: str = SERVICE
-    host: str | None = None
-    alpha: str = ALPHA_TF
+    __slots__ = ("target", "action", "motive", "polarity", "host", "alpha")
 
-    def __post_init__(self):
-        if not self.target:
+    def __init__(self, target: str, action: str, motive: str | Iterable[str] = (),
+                 polarity: str = SERVICE, host: str | None = None, alpha: str = ALPHA_TF):
+        if not target:
             raise ValueError("generator needs a target entity")
-        if not self.action:
+        if not action:
             raise ValueError("generator needs an action")
-        if self.polarity not in (SERVICE, CLIENT):
-            raise ValueError(f"bad polarity: {self.polarity!r}")
-        if self.alpha not in ALPHAS:
-            raise ValueError(f"bad reply constraint: {self.alpha!r}")
-        if self.host is not None and not self.host:
+        if polarity not in (SERVICE, CLIENT):
+            raise ValueError(f"bad polarity: {polarity!r}")
+        if alpha not in ALPHAS:
+            raise ValueError(f"bad reply constraint: {alpha!r}")
+        if host is not None and not host:
             raise ValueError("empty host name")
-        object.__setattr__(self, "motive", as_motive(self.motive))
+        self.target = target
+        self.action = action
+        self.motive = as_motive(motive)
+        self.polarity = polarity
+        self.host = host
+        self.alpha = alpha
+
+    # written out, not inherited: every sum and coefficient lookup hashes generators
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.target, self.action, self.motive, self.polarity, self.host, self.alpha)
+                == (other.target, other.action, other.motive, other.polarity, other.host,
+                    other.alpha))
+
+    def __hash__(self):
+        return hash((self.target, self.action, self.motive, self.polarity, self.host,
+                     self.alpha))
 
     @property
     def is_local(self) -> bool:
@@ -149,19 +157,16 @@ class Generator:
         return self.text()
 
 
-def service(target: str, action: str, motive: MotiveLike = (), host: str | None = None,
+def service(target: str, action: str, motive: str | Iterable[str] = (), host: str | None = None,
             alpha: str = ALPHA_TF) -> Generator:
     """Outgoing transfer element: permission to issue ``action(motive)`` to ``target``."""
     return Generator(target, action, as_motive(motive), SERVICE, host, alpha)
 
 
-def client(target: str, action: str, motive: MotiveLike = (), host: str | None = None,
+def client(target: str, action: str, motive: str | Iterable[str] = (), host: str | None = None,
            alpha: str = ALPHA_TF) -> Generator:
     """Incoming transfer element: permission to receive ``action(motive)`` from ``target``."""
     return Generator(target, action, as_motive(motive), CLIENT, host, alpha)
-
-
-TermsLike = Union[Mapping[Generator, int], Iterable[tuple[Generator, int]]]
 
 
 def _accumulate(acc: dict[Generator, int], items: Iterable[tuple[Generator, int]]) -> None:
@@ -198,7 +203,7 @@ class Interface:
 
     __slots__ = ("_terms", "_scope")
 
-    def __init__(self, terms: TermsLike = ()):
+    def __init__(self, terms: Mapping[Generator, int] | Iterable[tuple[Generator, int]] = ()):
         acc: dict[Generator, int] = {}
         _accumulate(acc, terms.items() if isinstance(terms, Mapping) else terms)
         scope = None

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 
 from .algebra import (
     ALPHA_F, ALPHA_NONE, ALPHA_T, ALPHA_TF, ALPHAS, CLIENT, SERVICE,
@@ -20,6 +19,7 @@ from .algebra import (
 from .catalog import Catalog
 from .errors import LogFormatError, ScopeError
 from .locglob import globalize
+from .record import Record
 from .reflection import ClosednessReport, is_closed
 from .transform import (
     AssignmentReport, ConditionalInterface, closed_under_all_assignments,
@@ -27,11 +27,13 @@ from .transform import (
 )
 
 
-@dataclass(frozen=True)
-class ArchMember:
-    entity: str
-    interface: ConditionalInterface
-    contained: bool = False
+class ArchMember(Record):
+    __slots__ = ("entity", "interface", "contained")
+
+    def __init__(self, entity: str, interface: ConditionalInterface, contained: bool = False):
+        self.entity = entity
+        self.interface = interface
+        self.contained = contained
 
 
 def _as_conditional(iface) -> ConditionalInterface:
@@ -105,18 +107,21 @@ def _conditional_global_sum(arch: Architecture, catalog: Catalog | None) -> Cond
     )
 
 
-@dataclass(frozen=True)
-class ArchitectureReport:
+class ArchitectureReport(Record):
     """Closedness verdict for one architecture.
 
     ``plain`` is set for unconditional architectures, ``conditional`` when
     branches forced an all-assignments check.
     """
 
-    architecture: str
-    closed: bool
-    plain: ClosednessReport | None = None
-    conditional: AssignmentReport | None = None
+    __slots__ = ("architecture", "closed", "plain", "conditional")
+
+    def __init__(self, architecture: str, closed: bool, plain: ClosednessReport | None = None,
+                 conditional: AssignmentReport | None = None):
+        self.architecture = architecture
+        self.closed = closed
+        self.plain = plain
+        self.conditional = conditional
 
     def residual_lines(self) -> list[str]:
         if self.plain is not None:
@@ -169,17 +174,17 @@ _ADMITS = {
 _LOG_HEADER = ("source", "destination", "action", "motive", "reply")
 
 
-@dataclass(frozen=True)
-class TransferEvent:
-    source: str
-    destination: str
-    action: str
-    motive: str          # one atomic motive
-    reply: str           # "T" or "F"
+class TransferEvent(Record):
+    __slots__ = ("source", "destination", "action", "motive", "reply")
 
-    def __post_init__(self):
-        if self.reply not in _REPLY_VALUES:
-            raise ValueError(f"reply must be T or F, got {self.reply!r}")
+    def __init__(self, source: str, destination: str, action: str, motive: str, reply: str):
+        if reply not in _REPLY_VALUES:
+            raise ValueError(f"reply must be T or F, got {reply!r}")
+        self.source = source
+        self.destination = destination
+        self.action = action
+        self.motive = motive          # one atomic motive
+        self.reply = reply            # "T" or "F"
 
 
 def read_event_log(text: str) -> list[TransferEvent]:
@@ -202,19 +207,24 @@ def read_event_log(text: str) -> list[TransferEvent]:
     return events
 
 
-@dataclass(frozen=True)
-class Violation:
-    index: int                     # position of the event in the checked log
-    kind: str
-    side: str                      # "outgoing" or "incoming"
-    entity: str
-    candidates: tuple[Generator, ...] = ()
+class Violation(Record):
+    __slots__ = ("index", "kind", "side", "entity", "candidates")
+
+    def __init__(self, index: int, kind: str, side: str, entity: str,
+                 candidates: tuple[Generator, ...] = ()):
+        self.index = index            # position of the event in the checked log
+        self.kind = kind
+        self.side = side              # "outgoing" or "incoming"
+        self.entity = entity
+        self.candidates = candidates
 
 
-@dataclass(frozen=True)
-class ComplianceReport:
-    violations: tuple[Violation, ...]
-    warnings: tuple[Violation, ...]
+class ComplianceReport(Record):
+    __slots__ = ("violations", "warnings")
+
+    def __init__(self, violations: tuple[Violation, ...], warnings: tuple[Violation, ...]):
+        self.violations = violations
+        self.warnings = warnings
 
     @property
     def complies(self) -> bool:

@@ -6,22 +6,30 @@ The entity hierarchy comes only from declaration nesting; identifier text
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import Record
 
 
-@dataclass(frozen=True)
-class EntityDecl:
-    name: str
-    parent: str | None = None
-    extern: bool = False
+class EntityDecl(Record):
+    __slots__ = ("name", "parent", "extern")
+
+    def __init__(self, name: str, parent: str | None = None, extern: bool = False):
+        self.name = name
+        self.parent = parent
+        self.extern = extern
 
 
-@dataclass
-class Catalog:
-    entities: dict[str, EntityDecl] = field(default_factory=dict)
-    actions: dict[str, bool] = field(default_factory=dict)   # name -> extern flag
-    motives: dict[str, bool] = field(default_factory=dict)
-    condition_vars: set[str] = field(default_factory=set)
+class Catalog(Record):
+    __slots__ = ("entities", "actions", "motives", "condition_vars")
+    __hash__ = None
+
+    def __init__(self, entities: dict[str, EntityDecl] | None = None,
+                 actions: dict[str, bool] | None = None,
+                 motives: dict[str, bool] | None = None,
+                 condition_vars: set[str] | None = None):
+        self.entities = {} if entities is None else entities
+        self.actions = {} if actions is None else actions   # name -> extern flag
+        self.motives = {} if motives is None else motives
+        self.condition_vars = set() if condition_vars is None else condition_vars
 
     def add_entity(self, name: str, parent: str | None = None, extern: bool = False):
         if not name:

@@ -14,11 +14,10 @@ monoid elements; for arbitrary group elements it holds modulo reflection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import ALPHA_TF, Generator, Interface, interface_sum
 from .catalog import Catalog
 from .errors import ScopeError
+from .record import Record
 
 
 def globalize(entity: str, iface: Interface, catalog: Catalog | None = None) -> Interface:
@@ -65,11 +64,13 @@ def localize(entity: str, iface: Interface) -> Interface:
     return Interface(acc)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Per-entity localized parts of a global interface."""
 
-    parts: tuple[tuple[str, Interface], ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[tuple[str, Interface], ...]):
+        self.parts = parts
 
 
 def decompose(iface: Interface) -> Decomposition:

@@ -14,10 +14,9 @@ they pass through unchanged and are reported as non-cancellable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import ALPHA_TF, CLIENT, Generator, Interface, render_motive
 from .errors import ScopeError
+from .record import Record
 
 
 def reflect_generator(gen: Generator) -> tuple[Generator, int] | None:
@@ -40,8 +39,7 @@ def reflect_generator(gen: Generator) -> tuple[Generator, int] | None:
     return (gen, 1)
 
 
-@dataclass(frozen=True)
-class Residual:
+class Residual(Record):
     """Image of an interface in the group modulo reflection.
 
     ``canonical`` holds only service-polarity, non-self-transfer TF
@@ -49,8 +47,11 @@ class Residual:
     ``non_cancellable`` lists the non-TF generators that were present.
     """
 
-    canonical: Interface
-    non_cancellable: tuple[Generator, ...] = ()
+    __slots__ = ("canonical", "non_cancellable")
+
+    def __init__(self, canonical: Interface, non_cancellable: tuple[Generator, ...] = ()):
+        self.canonical = canonical
+        self.non_cancellable = non_cancellable
 
     @classmethod
     def of(cls, canonical: Interface) -> Residual:
@@ -85,10 +86,12 @@ def reduce_modulo_reflection(iface: Interface) -> Residual:
     return Residual.of(Interface(acc))
 
 
-@dataclass(frozen=True)
-class ClosednessReport:
-    closed: bool
-    residual: Residual
+class ClosednessReport(Record):
+    __slots__ = ("closed", "residual")
+
+    def __init__(self, closed: bool, residual: Residual):
+        self.closed = closed
+        self.residual = residual
 
     @classmethod
     def of(cls, residual: Residual) -> ClosednessReport:

@@ -2,158 +2,225 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..errors import SourcePosition
+from ..record import Record
 
 
-@dataclass(frozen=True)
-class ExprNode:
-    pos: SourcePosition
+class ExprNode(Record):
+    __slots__ = ("pos",)
+
+    def __init__(self, pos: SourcePosition):
+        self.pos = pos
 
 
-@dataclass(frozen=True)
 class ZeroExpr(ExprNode):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class RefExpr(ExprNode):
-    name: str
-    comments: tuple[str, ...] = ()
+    __slots__ = ("name", "comments")
+
+    def __init__(self, pos: SourcePosition, name: str, comments: tuple[str, ...] = ()):
+        self.pos = pos
+        self.name = name
+        self.comments = comments
 
 
-@dataclass(frozen=True)
 class GenExpr(ExprNode):
-    polarity: str
-    target: str
-    action: str
-    motive: tuple[str, ...]      # atom names in written order; () is the zero motive
-    host: str | None
-    alpha: str
-    comments: tuple[str, ...] = ()
+    __slots__ = ("polarity", "target", "action", "motive", "host", "alpha", "comments")
+
+    def __init__(self, pos: SourcePosition, polarity: str, target: str, action: str,
+                 motive: tuple[str, ...], host: str | None, alpha: str,
+                 comments: tuple[str, ...] = ()):
+        self.pos = pos
+        self.polarity = polarity
+        self.target = target
+        self.action = action
+        self.motive = motive      # atom names in written order; () is the zero motive
+        self.host = host
+        self.alpha = alpha
+        self.comments = comments
 
 
-@dataclass(frozen=True)
 class NegExpr(ExprNode):
-    inner: ExprNode
+    __slots__ = ("inner",)
+
+    def __init__(self, pos: SourcePosition, inner: ExprNode):
+        self.pos = pos
+        self.inner = inner
 
 
-@dataclass(frozen=True)
 class ScaleExpr(ExprNode):
-    factor: int
-    inner: ExprNode
+    __slots__ = ("factor", "inner")
+
+    def __init__(self, pos: SourcePosition, factor: int, inner: ExprNode):
+        self.pos = pos
+        self.factor = factor
+        self.inner = inner
 
 
-@dataclass(frozen=True)
 class SumExpr(ExprNode):
-    # (sign, operand) pairs; the first sign is +1 unless the source had a leading minus
-    parts: tuple[tuple[int, ExprNode], ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, pos: SourcePosition, parts: tuple[tuple[int, ExprNode], ...]):
+        self.pos = pos
+        # (sign, operand) pairs; the first sign is +1 unless the source had a leading minus
+        self.parts = parts
 
 
-@dataclass(frozen=True)
 class ParenExpr(ExprNode):
-    inner: ExprNode
-    comments: tuple[str, ...] = ()
+    __slots__ = ("inner", "comments")
+
+    def __init__(self, pos: SourcePosition, inner: ExprNode, comments: tuple[str, ...] = ()):
+        self.pos = pos
+        self.inner = inner
+        self.comments = comments
 
 
-@dataclass(frozen=True)
 class CondExpr(ExprNode):
-    then: ExprNode
-    variable: str
-    negated: bool
-    otherwise: ExprNode
-    comments: tuple[str, ...] = ()
+    __slots__ = ("then", "variable", "negated", "otherwise", "comments")
+
+    def __init__(self, pos: SourcePosition, then: ExprNode, variable: str, negated: bool,
+                 otherwise: ExprNode, comments: tuple[str, ...] = ()):
+        self.pos = pos
+        self.then = then
+        self.variable = variable
+        self.negated = negated
+        self.otherwise = otherwise
+        self.comments = comments
 
 
-@dataclass(frozen=True)
-class Item:
-    pos: SourcePosition
+class Item(Record):
+    __slots__ = ("pos",)
+
+    def __init__(self, pos: SourcePosition):
+        self.pos = pos
 
 
-@dataclass(frozen=True)
 class EntityItem(Item):
-    name: str
-    children: tuple["EntityItem", ...] = ()
-    extern: bool = False
+    __slots__ = ("name", "children", "extern")
+
+    def __init__(self, pos: SourcePosition, name: str, children: tuple[EntityItem, ...] = (),
+                 extern: bool = False):
+        self.pos = pos
+        self.name = name
+        self.children = children
+        self.extern = extern
 
 
-@dataclass(frozen=True)
 class ActionItem(Item):
-    name: str
-    extern: bool = False
+    __slots__ = ("name", "extern")
+
+    def __init__(self, pos: SourcePosition, name: str, extern: bool = False):
+        self.pos = pos
+        self.name = name
+        self.extern = extern
 
 
-@dataclass(frozen=True)
 class MotiveItem(Item):
-    name: str
-    extern: bool = False
+    __slots__ = ("name", "extern")
+
+    def __init__(self, pos: SourcePosition, name: str, extern: bool = False):
+        self.pos = pos
+        self.name = name
+        self.extern = extern
 
 
-@dataclass(frozen=True)
 class ConditionItem(Item):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, pos: SourcePosition, name: str):
+        self.pos = pos
+        self.name = name
 
 
-@dataclass(frozen=True)
 class InterfaceDef(Item):
-    name: str
-    scope_annotation: str | None     # "local", "global", or None to infer
-    monoid: bool
-    expr: ExprNode
+    __slots__ = ("name", "scope_annotation", "monoid", "expr")
+
+    def __init__(self, pos: SourcePosition, name: str, scope_annotation: str | None,
+                 monoid: bool, expr: ExprNode):
+        self.pos = pos
+        self.name = name
+        self.scope_annotation = scope_annotation   # "local", "global", or None to infer
+        self.monoid = monoid
+        self.expr = expr
 
 
-@dataclass(frozen=True)
-class ArchMemberDef:
-    pos: SourcePosition
-    entity: str
-    contained: bool
-    expr: ExprNode
+class ArchMemberDef(Record):
+    __slots__ = ("pos", "entity", "contained", "expr")
+
+    def __init__(self, pos: SourcePosition, entity: str, contained: bool, expr: ExprNode):
+        self.pos = pos
+        self.entity = entity
+        self.contained = contained
+        self.expr = expr
 
 
-@dataclass(frozen=True)
 class ArchitectureDef(Item):
-    name: str
-    members: tuple[ArchMemberDef, ...]
+    __slots__ = ("name", "members")
+
+    def __init__(self, pos: SourcePosition, name: str, members: tuple[ArchMemberDef, ...]):
+        self.pos = pos
+        self.name = name
+        self.members = members
 
 
-@dataclass(frozen=True)
 class CheckDirective(Item):
-    kind: str                        # currently only "closed"
-    target: str
+    __slots__ = ("kind", "target")
+
+    def __init__(self, pos: SourcePosition, kind: str, target: str):
+        self.pos = pos
+        self.kind = kind                  # currently only "closed"
+        self.target = target
 
 
-@dataclass(frozen=True)
 class RefineDef(Item):
     """``refine NEW = OLD expand COARSE into P1, P2``: a derived interface."""
 
-    name: str
-    source: str
-    coarse: str
-    parts: tuple[str, ...]
+    __slots__ = ("name", "source", "coarse", "parts")
+
+    def __init__(self, pos: SourcePosition, name: str, source: str, coarse: str,
+                 parts: tuple[str, ...]):
+        self.pos = pos
+        self.name = name
+        self.source = source
+        self.coarse = coarse
+        self.parts = parts
 
 
-@dataclass(frozen=True)
 class RenameDef(Item):
     """``rename NEW = OLD { entity A -> B, ... }``: a derived interface."""
 
-    name: str
-    source: str
-    entity_map: tuple[tuple[str, str], ...]
-    action_map: tuple[tuple[str, str], ...]
-    motive_map: tuple[tuple[str, str], ...]
+    __slots__ = ("name", "source", "entity_map", "action_map", "motive_map")
+
+    def __init__(self, pos: SourcePosition, name: str, source: str,
+                 entity_map: tuple[tuple[str, str], ...],
+                 action_map: tuple[tuple[str, str], ...],
+                 motive_map: tuple[tuple[str, str], ...]):
+        self.pos = pos
+        self.name = name
+        self.source = source
+        self.entity_map = entity_map
+        self.action_map = action_map
+        self.motive_map = motive_map
 
 
-@dataclass(frozen=True)
 class StandaloneComment(Item):
-    text: str
+    __slots__ = ("text",)
+
+    def __init__(self, pos: SourcePosition, text: str):
+        self.pos = pos
+        self.text = text
 
 
-@dataclass
-class SpecModule:
+class SpecModule(Record):
     """Parsed declarations of one or more concatenated source files."""
 
-    items: list[Item] = field(default_factory=list)
+    __slots__ = ("items",)
+    __hash__ = None
+
+    def __init__(self, items: list[Item] | None = None):
+        self.items = [] if items is None else items
 
     def interface_defs(self) -> list[InterfaceDef]:
         return [i for i in self.items if isinstance(i, InterfaceDef)]
@@ -167,5 +234,5 @@ class SpecModule:
     def directives(self) -> list[CheckDirective]:
         return [i for i in self.items if isinstance(i, CheckDirective)]
 
-    def extend(self, other: "SpecModule"):
+    def extend(self, other: SpecModule):
         self.items.extend(other.items)

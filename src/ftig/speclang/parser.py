@@ -10,8 +10,6 @@ even when a ``+``/``-`` sign intervenes (as in hand-written listings).
 
 from __future__ import annotations
 
-import dataclasses
-
 from ..algebra import ALPHAS
 from ..errors import ParseError
 from .astnodes import (
@@ -25,13 +23,13 @@ from .lexer import Token, tokenize
 
 def _attach_comment(node: ExprNode, text: str) -> ExprNode:
     if isinstance(node, (NegExpr, ScaleExpr)):
-        return dataclasses.replace(node, inner=_attach_comment(node.inner, text))
+        return node.replace(inner=_attach_comment(node.inner, text))
     if isinstance(node, SumExpr):
         sign, last = node.parts[-1]
         parts = node.parts[:-1] + ((sign, _attach_comment(last, text)),)
-        return dataclasses.replace(node, parts=parts)
+        return node.replace(parts=parts)
     if hasattr(node, "comments"):
-        return dataclasses.replace(node, comments=node.comments + (text,))
+        return node.replace(comments=node.comments + (text,))
     raise ParseError("comment does not follow an interface element", node.pos)
 
 
@@ -125,7 +123,7 @@ class Parser:
         kind = self.peek()
         if kind.kind == "entity":
             item = self.parse_entity(extern=True)
-            return dataclasses.replace(item, pos=start.pos)
+            return item.replace(pos=start.pos)
         if kind.kind == "action":
             self.next()
             name = self.expect_name("action name")

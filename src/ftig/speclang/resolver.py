@@ -8,12 +8,11 @@ evaluation continues with the offending names treated as extern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..algebra import ALPHA_TF, Generator, Interface
 from ..architecture import Architecture
 from ..catalog import Catalog
 from ..errors import ScopeError, SourcePosition
+from ..record import Record
 from ..transform import (
     ConditionalInterface, ConditionLiteral, RefinementSpec, RenameMap,
     conditional_sum, expand_motives, refine, rename,
@@ -26,11 +25,13 @@ from .astnodes import (
 from .parser import parse_expression
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str                      # "error" or "warning"
-    message: str
-    pos: SourcePosition | None = None
+class Diagnostic(Record):
+    __slots__ = ("severity", "message", "pos")
+
+    def __init__(self, severity: str, message: str, pos: SourcePosition | None = None):
+        self.severity = severity          # "error" or "warning"
+        self.message = message
+        self.pos = pos
 
     def render(self) -> str:
         if self.pos is None:
@@ -43,14 +44,23 @@ class Diagnostic:
         return (self.pos.file or "", self.pos.line, self.pos.col, self.severity, self.message)
 
 
-@dataclass
-class Resolution:
-    module: SpecModule
-    catalog: Catalog
-    interfaces: dict[str, object] = field(default_factory=dict)   # Interface | ConditionalInterface
-    architectures: dict[str, Architecture] = field(default_factory=dict)
-    monoid_names: set[str] = field(default_factory=set)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+class Resolution(Record):
+    __slots__ = ("module", "catalog", "interfaces", "architectures", "monoid_names",
+                 "diagnostics")
+    __hash__ = None
+
+    def __init__(self, module: SpecModule, catalog: Catalog,
+                 interfaces: dict[str, object] | None = None,
+                 architectures: dict[str, Architecture] | None = None,
+                 monoid_names: set[str] | None = None,
+                 diagnostics: list[Diagnostic] | None = None):
+        self.module = module
+        self.catalog = catalog
+        # name -> Interface | ConditionalInterface
+        self.interfaces = {} if interfaces is None else interfaces
+        self.architectures = {} if architectures is None else architectures
+        self.monoid_names = set() if monoid_names is None else monoid_names
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     @property
     def errors(self) -> list[Diagnostic]:

@@ -14,10 +14,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass, field
 
 from .algebra import GLOBAL, I64_MAX, LOCAL, Generator, Interface, RunningSum, interface_sum
 from .errors import CapacityError, ScopeError
+from .record import Record
 from .reflection import ClosednessReport, Residual, is_closed, reduce_modulo_reflection
 
 MAX_CONDITION_VARS = 16
@@ -42,22 +42,21 @@ def expand_motives(iface: Interface) -> Interface:
     return Interface(acc)
 
 
-@dataclass(frozen=True)
-class RefinementSpec:
+class RefinementSpec(Record):
     """Expansion of one coarse entity into finer parallel parts."""
 
-    coarse: str
-    parts: tuple[str, ...]
+    __slots__ = ("coarse", "parts")
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
+    def __init__(self, coarse: str, parts: Iterable[str]):
+        parts = tuple(parts)
         if not parts:
             raise ValueError("refinement needs at least one part")
         if len(set(parts)) != len(parts):
             raise ValueError("refinement parts must be pairwise distinct")
-        if self.coarse in parts:
+        if coarse in parts:
             raise ValueError("refined entity cannot be one of its own parts")
-        object.__setattr__(self, "parts", parts)
+        self.coarse = coarse
+        self.parts = parts
 
 
 def refine(iface: Interface, spec: RefinementSpec) -> Interface:
@@ -101,17 +100,21 @@ def annihilate(iface: Interface, kill: Iterable[Generator]) -> Interface:
     return Interface(tuple((g, c) for g, c in iface if g not in doomed))
 
 
-@dataclass(frozen=True)
-class RenameMap:
+class RenameMap(Record):
     """Catalog renaming (abstraction); unlisted names map to themselves.
 
     Merging previously distinct names is legal and produces element
     multiplicities.
     """
 
-    entity_map: Mapping[str, str] = field(default_factory=dict)
-    action_map: Mapping[str, str] = field(default_factory=dict)
-    motive_map: Mapping[str, str] = field(default_factory=dict)
+    __slots__ = ("entity_map", "action_map", "motive_map")
+
+    def __init__(self, entity_map: Mapping[str, str] | None = None,
+                 action_map: Mapping[str, str] | None = None,
+                 motive_map: Mapping[str, str] | None = None):
+        self.entity_map = {} if entity_map is None else entity_map
+        self.action_map = {} if action_map is None else action_map
+        self.motive_map = {} if motive_map is None else motive_map
 
     def entity(self, name: str) -> str:
         return self.entity_map.get(name, name)
@@ -140,12 +143,14 @@ def rename(iface: Interface, mapping: RenameMap) -> Interface:
     return Interface(acc)
 
 
-@dataclass(frozen=True)
-class ConditionLiteral:
+class ConditionLiteral(Record):
     """A boolean condition variable or its negation."""
 
-    variable: str
-    negated: bool = False
+    __slots__ = ("variable", "negated")
+
+    def __init__(self, variable: str, negated: bool = False):
+        self.variable = variable
+        self.negated = negated
 
     def satisfied_by(self, assignment: Mapping[str, bool]) -> bool:
         return assignment[self.variable] != self.negated
@@ -274,10 +279,13 @@ def eval_conditional(cond: ConditionalInterface, assignment: Mapping[str, bool])
     )
 
 
-@dataclass(frozen=True)
-class AssignmentReport:
-    closed: bool
-    cases: tuple[tuple[tuple[tuple[str, bool], ...], ClosednessReport], ...]
+class AssignmentReport(Record):
+    __slots__ = ("closed", "cases")
+
+    def __init__(self, closed: bool,
+                 cases: tuple[tuple[tuple[tuple[str, bool], ...], ClosednessReport], ...]):
+        self.closed = closed
+        self.cases = cases
 
 
 def closed_under_all_assignments(cond: ConditionalInterface) -> AssignmentReport:

@@ -1,12 +1,13 @@
 """Verbatim copies of the tokenizer and parser that preceded the one-regex
 tokenizer, kept as the oracle for ``test_speclang.TestFrontEndOracle``.
 
-Only the imports are changed: they name the ``ftig`` modules absolutely.
+Only the imports and the four ``replace`` calls are changed: the imports
+name the ``ftig`` modules absolutely, and the calls use the syntax-tree
+nodes' own ``replace`` method in place of ``dataclasses.replace``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from ftig.errors import ParseError, SourcePosition
@@ -135,13 +136,13 @@ _ALPHA_WORDS = {"TF": "TF", "T": "T", "F": "F", "lambda": "lambda"}
 
 def _attach_comment(node: ExprNode, text: str) -> ExprNode:
     if isinstance(node, (NegExpr, ScaleExpr)):
-        return dataclasses.replace(node, inner=_attach_comment(node.inner, text))
+        return node.replace(inner=_attach_comment(node.inner, text))
     if isinstance(node, SumExpr):
         sign, last = node.parts[-1]
         parts = node.parts[:-1] + ((sign, _attach_comment(last, text)),)
-        return dataclasses.replace(node, parts=parts)
+        return node.replace(parts=parts)
     if hasattr(node, "comments"):
-        return dataclasses.replace(node, comments=node.comments + (text,))
+        return node.replace(comments=node.comments + (text,))
     raise ParseError("comment does not follow an interface element", node.pos)
 
 
@@ -231,7 +232,7 @@ class Parser:
         kind = self.peek()
         if kind.kind == "entity":
             item = self.parse_entity(extern=True)
-            return dataclasses.replace(item, pos=start.pos)
+            return item.replace(pos=start.pos)
         if kind.kind == "action":
             self.next()
             name = self.expect_name("action name")

@@ -470,6 +470,30 @@ class TestExitCodes:
         assert out.returncode == 0
         assert out.stdout == "CLOSED\n"
 
+    def test_unreadable_paths_are_exit_2(self, capsys, tmp_path):
+        missing = tmp_path / "no_such_file.fti"
+        code, out, err = invoke(capsys, "check", str(missing))
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot read {missing}: "
+                       f"[Errno 2] No such file or directory: '{missing}'\n")
+        code, out, err = invoke(capsys, "check", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+class TestColdStart:
+    # modules that start-up must not import: each costs milliseconds on every run
+    UNWANTED = ("dataclasses", "inspect", "typing", "pathlib")
+
+    def test_cli_import_loads_no_heavy_modules(self):
+        # -S keeps the interpreter's site hooks, which may import anything, out of the check
+        code = ("import sys, ftig.cli; ftig.cli.build_parser(); "
+                f"print(sorted(m for m in {self.UNWANTED!r} if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-S", "-c", code],
+                             capture_output=True, text=True, env=cli_env())
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "[]\n"
+
 
 SPEC_BYTES = (FIXTURES / "two_entity.fti").read_bytes()
 LOG_BYTES = (FIXTURES / "log_bad.csv").read_bytes()

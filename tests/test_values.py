@@ -6,8 +6,6 @@ copies with one field replaced.  Records of different classes never
 compare equal, even with the same field values.
 """
 
-import dataclasses
-
 import pytest
 
 from ftig.algebra import Generator, Interface, service
@@ -173,18 +171,18 @@ def test_equal_values_are_equal(cls):
 def test_replace_one_field(cls):
     a = RECORDS[cls]()
     name, value = REPLACEMENTS[cls]
-    b = dataclasses.replace(a, **{name: value})
+    b = a.replace(**{name: value})
     assert type(b) is cls
     assert getattr(b, name) == value
     assert b != a
     assert a == RECORDS[cls]()  # the original is untouched
-    assert dataclasses.replace(b, **{name: getattr(a, name)}) == a
+    assert b.replace(**{name: getattr(a, name)}) == a
 
 
 def test_other_fields_kept_by_replace():
-    assert dataclasses.replace(gen_expr(), alpha="T") == GenExpr(
+    assert gen_expr().replace(alpha="T") == GenExpr(
         pos(), "service", "e", "a", ("m",), None, "T", ("c",))
-    assert dataclasses.replace(Generator("f", "a", "m"), host="e") == service(
+    assert Generator("f", "a", "m").replace(host="e") == service(
         "f", "a", "m", host="e")
 
 
@@ -242,7 +240,7 @@ def test_keyword_and_positional_construction_agree():
 def test_generator_normalizes_its_motive():
     assert Generator("f", "a", ["n", "m"]).motive == ("m", "n")
     assert Generator("f", "a", "0").motive == ()
-    assert dataclasses.replace(Generator("f", "a"), motive="m").motive == ("m",)
+    assert Generator("f", "a").replace(motive="m").motive == ("m",)
 
 
 def test_refinement_spec_stores_parts_as_tuple():
