@@ -222,7 +222,11 @@ class Interface:
 
     @classmethod
     def term(cls, gen: Generator, coeff: int = 1) -> Interface:
-        return cls(((gen, coeff),))
+        if not isinstance(gen, Generator):
+            raise TypeError(f"expected Generator, got {type(gen).__name__}")
+        if coeff == 0:
+            return _ZERO
+        return _normal(((gen, _check_i64(coeff)),), LOCAL if gen.host is None else GLOBAL)
 
     @property
     def terms(self) -> tuple[tuple[Generator, int], ...]:
@@ -256,8 +260,12 @@ class Interface:
             return NotImplemented
         return interface_sum((self, other))
 
+    # negating or scaling by n != 0 keeps the terms' order and scope, so the
+    # result is built directly; each coefficient is still range-checked
     def __neg__(self) -> Interface:
-        return Interface(tuple((g, -c) for g, c in self._terms))
+        if not self._terms:
+            return _ZERO
+        return _normal(tuple((g, _check_i64(-c)) for g, c in self._terms), self._scope)
 
     def __sub__(self, other: Interface) -> Interface:
         if not isinstance(other, Interface):
@@ -267,7 +275,9 @@ class Interface:
     def __mul__(self, n: int) -> Interface:
         if not isinstance(n, int):
             return NotImplemented
-        return Interface(tuple((g, _check_i64(c * n)) for g, c in self._terms))
+        if n == 0 or not self._terms:
+            return _ZERO
+        return _normal(tuple((g, _check_i64(c * n)) for g, c in self._terms), self._scope)
 
     __rmul__ = __mul__
 
@@ -321,6 +331,14 @@ class Interface:
 _ZERO = Interface()
 
 
+def _normal(terms: tuple[tuple[Generator, int], ...], scope: str | None) -> Interface:
+    """An interface from ``terms`` already in normal form, all of ``scope``."""
+    value = Interface.__new__(Interface)
+    value._terms = terms
+    value._scope = scope
+    return value
+
+
 class RunningSum:
     """A sum of interfaces built in one pass: one dict, sorted once.
 
@@ -350,15 +368,20 @@ class RunningSum:
             elif self._scope != part.scope:
                 raise ScopeError(
                     f"cannot combine a {self._scope} interface with a {part.scope} one")
-        _accumulate(self._acc, part.terms)
+        # the terms of an Interface are Generators with nonzero 64-bit
+        # coefficients, so only the partial sums need _accumulate's checks
+        acc = self._acc
+        for gen, coeff in part._terms:
+            total = acc.get(gen, 0) + coeff
+            if total:
+                acc[gen] = _check_i64(total)
+            else:
+                del acc[gen]
 
     def total(self) -> Interface:
         if not self._acc:
             return _ZERO
-        total = Interface.__new__(Interface)
-        total._terms = _sorted_terms(self._acc)
-        total._scope = self._scope
-        return total
+        return _normal(_sorted_terms(self._acc), self._scope)
 
 
 def interface_sum(parts: Iterable[Interface]) -> Interface:

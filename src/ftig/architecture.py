@@ -22,7 +22,7 @@ from .locglob import globalize
 from .record import Record
 from .reflection import ClosednessReport, is_closed
 from .transform import (
-    AssignmentReport, ConditionalInterface, closed_under_all_assignments,
+    AssignmentReport, ConditionalInterface, as_conditional, closed_under_all_assignments,
     conditional_sum, eval_conditional, expand_motives,
 )
 
@@ -34,14 +34,6 @@ class ArchMember(Record):
         self.entity = entity
         self.interface = interface
         self.contained = contained
-
-
-def _as_conditional(iface) -> ConditionalInterface:
-    if isinstance(iface, ConditionalInterface):
-        return iface
-    if isinstance(iface, Interface):
-        return ConditionalInterface(iface)
-    raise TypeError(f"expected Interface or ConditionalInterface, got {type(iface).__name__}")
 
 
 class Architecture:
@@ -58,7 +50,7 @@ class Architecture:
             else:
                 entity, iface = item[0], item[1]
                 contained = item[2] if len(item) > 2 else False
-            cond = _as_conditional(iface)
+            cond = as_conditional(iface)
             if cond.scope == "global":
                 raise ScopeError(f"member {entity} must hold a local interface")
             if entity in merged:

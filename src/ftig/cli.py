@@ -24,7 +24,10 @@ from .locglob import decompose, globalize, localize
 from .reflection import reduce_modulo_reflection
 from .speclang import lint, parse_module, resolve
 from .speclang.astnodes import SpecModule
-from .transform import ConditionalInterface, RefinementSpec, RenameMap, expand_motives, refine, rename
+from .transform import (
+    ConditionalInterface, RefinementSpec, RenameMap, as_conditional, expand_motives, refine,
+    rename,
+)
 
 
 class CliError(Exception):
@@ -66,19 +69,17 @@ def _require_resolved(args):
 
 
 def _get_value(res, name):
+    """The resolved ``Interface``, or ``ConditionalInterface`` when a branch survives."""
     if name not in res.interfaces:
         raise CliError(f"unknown interface: {name}")
-    value = res.interfaces[name]
-    if isinstance(value, Interface):
-        return ConditionalInterface(value)
-    return value
+    return res.interfaces[name]
 
 
 def _get_plain(res, name) -> Interface:
     value = _get_value(res, name)
-    if not value.is_plain:
+    if not isinstance(value, Interface):
         raise CliError(f"interface {name} is conditional; this command needs a plain interface")
-    return value.unconditional
+    return value
 
 
 def _get_architecture(res, name) -> Architecture:
@@ -180,7 +181,7 @@ def _conditional_doc(value: ConditionalInterface) -> dict:
 
 def _cmd_normalize(args) -> int:
     res = _require_resolved(args)
-    value = _get_value(res, args.interface)
+    value = as_conditional(_get_value(res, args.interface))
     if args.expand_motives:
         value = value.map_interfaces(expand_motives)
     if args.modulo_reflection:

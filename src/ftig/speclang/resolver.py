@@ -8,14 +8,16 @@ evaluation continues with the offending names treated as extern.
 
 from __future__ import annotations
 
-from ..algebra import ALPHA_TF, Generator, Interface
+import itertools
+
+from ..algebra import ALPHA_TF, Generator, Interface, RunningSum
 from ..architecture import Architecture
 from ..catalog import Catalog
 from ..errors import ScopeError, SourcePosition
 from ..record import Record
 from ..transform import (
     ConditionalInterface, ConditionLiteral, RefinementSpec, RenameMap,
-    conditional_sum, expand_motives, refine, rename,
+    as_conditional, conditional_sum, expand_motives, refine, rename,
 )
 from .astnodes import (
     ActionItem, ArchitectureDef, CheckDirective, CondExpr, ConditionItem,
@@ -56,7 +58,7 @@ class Resolution(Record):
                  diagnostics: list[Diagnostic] | None = None):
         self.module = module
         self.catalog = catalog
-        # name -> Interface | ConditionalInterface
+        # name -> Interface, or ConditionalInterface when a branch survives
         self.interfaces = {} if interfaces is None else interfaces
         self.architectures = {} if architectures is None else architectures
         self.monoid_names = set() if monoid_names is None else monoid_names
@@ -89,7 +91,8 @@ class _Evaluator:
                 self.error(f"duplicate interface definition: {item.name}", item.pos)
             else:
                 self.defs[item.name] = item
-        self.values: dict[str, ConditionalInterface] = {}
+        # a value is a ConditionalInterface only while one of its branches survives
+        self.values: dict[str, Interface | ConditionalInterface] = {}
         self.in_progress: set[str] = set()
         self.reported_undeclared: set[tuple[str, str]] = set()
 
@@ -131,15 +134,15 @@ class _Evaluator:
 
     # ------------------------------------------------------- evaluation
 
-    def resolve_name(self, name: str, pos) -> ConditionalInterface:
+    def resolve_name(self, name: str, pos) -> Interface | ConditionalInterface:
         if name in self.values:
             return self.values[name]
         if name not in self.defs:
             self.error(f"reference to undefined interface: {name}", pos)
-            return ConditionalInterface()
+            return Interface.zero()
         if name in self.in_progress:
             self.error(f"cyclic interface reference through {name}", pos)
-            return ConditionalInterface()
+            return Interface.zero()
         self.in_progress.add(name)
         item = self.defs[name]
         try:
@@ -156,7 +159,7 @@ class _Evaluator:
                         f"but its elements are {scope}", item.pos)
         except (ScopeError, OverflowError, ValueError) as exc:
             self.error(f"in interface {name}: {exc}", item.pos)
-            value = ConditionalInterface()
+            value = Interface.zero()
         finally:
             self.in_progress.discard(name)
         self.values[name] = value
@@ -164,11 +167,11 @@ class _Evaluator:
 
     def _plain_source(self, item) -> Interface:
         source = self.resolve_name(item.source, item.pos)
-        if not source.is_plain:
+        if not isinstance(source, Interface):
             raise ValueError(f"{item.source} is conditional and cannot be transformed")
-        return source.unconditional
+        return source
 
-    def _eval_refine(self, item: RefineDef) -> ConditionalInterface:
+    def _eval_refine(self, item: RefineDef) -> Interface:
         source = self._plain_source(item)
         self._check_name("entity", item.coarse, item.pos)
         for part in item.parts:
@@ -179,9 +182,9 @@ class _Evaluator:
             else:
                 self.catalog.add_entity(part, extern=True)
         spec = RefinementSpec(item.coarse, item.parts)
-        return ConditionalInterface(refine(expand_motives(source), spec))
+        return refine(expand_motives(source), spec)
 
-    def _eval_rename(self, item: RenameDef) -> ConditionalInterface:
+    def _eval_rename(self, item: RenameDef) -> Interface:
         source = self._plain_source(item)
         catalogs = {"entity": self.catalog.entities, "action": self.catalog.actions,
                     "motive": self.catalog.motives}
@@ -193,17 +196,29 @@ class _Evaluator:
                 self._check_name(kind, new, item.pos)
         mapping = RenameMap(dict(item.entity_map), dict(item.action_map),
                             dict(item.motive_map))
-        return ConditionalInterface(rename(source, mapping))
+        return rename(source, mapping)
 
-    def _eval_signed(self, sign: int, node) -> ConditionalInterface:
+    def _eval_signed(self, sign: int, node) -> Interface | ConditionalInterface:
         value = self.eval(node)
-        return value.map_interfaces(lambda i: -i) if sign < 0 else value
+        return _scaled(value, -1) if sign < 0 else value
 
-    def eval(self, node) -> ConditionalInterface:
-        if isinstance(node, ZeroExpr):
-            return ConditionalInterface()
-        if isinstance(node, RefExpr):
-            return self.resolve_name(node.name, node.pos)
+    def _eval_sum(self, parts) -> Interface | ConditionalInterface:
+        # plain parts go into one running sum; the first part with branches
+        # hands the total and the remaining parts, still unevaluated, to
+        # conditional_sum, which adds them with the same checks in the same order
+        running = RunningSum()
+        parts = iter(parts)
+        for sign, part in parts:
+            value = self._eval_signed(sign, part)
+            if isinstance(value, ConditionalInterface):
+                rest = (as_conditional(self._eval_signed(sign, part)) for sign, part in parts)
+                return _plain_if_possible(conditional_sum(itertools.chain(
+                    (as_conditional(running.total()), value), rest)))
+            running.add(value)
+        return running.total()
+
+    def eval(self, node) -> Interface | ConditionalInterface:
+        # the node types are disjoint; the most frequent are tested first
         if isinstance(node, GenExpr):
             self._check_name("entity", node.target, node.pos)
             if node.host is not None:
@@ -213,32 +228,46 @@ class _Evaluator:
                 self._check_name("motive", atom, node.pos)
             gen = Generator(node.target, node.action, node.motive, node.polarity,
                             node.host, node.alpha)
-            return ConditionalInterface(Interface.term(gen))
+            return Interface.term(gen)
+        if isinstance(node, SumExpr):
+            return self._eval_sum(node.parts)
+        if isinstance(node, RefExpr):
+            return self.resolve_name(node.name, node.pos)
+        if isinstance(node, ZeroExpr):
+            return Interface.zero()
         if isinstance(node, NegExpr):
-            return self.eval(node.inner).map_interfaces(lambda i: -i)
+            return _scaled(self.eval(node.inner), -1)
         if isinstance(node, ScaleExpr):
-            return self.eval(node.inner).map_interfaces(lambda i: node.factor * i)
+            return _scaled(self.eval(node.inner), node.factor)
         if isinstance(node, ParenExpr):
             return self.eval(node.inner)
-        if isinstance(node, SumExpr):
-            # a generator, so each part is evaluated just before it is added
-            return conditional_sum(self._eval_signed(sign, part) for sign, part in node.parts)
         if isinstance(node, CondExpr):
             self._check_name("condition", node.variable, node.pos)
             then = self.eval(node.then)
             otherwise = self.eval(node.otherwise)
-            if not then.is_plain or not otherwise.is_plain:
+            if not isinstance(then, Interface) or not isinstance(otherwise, Interface):
                 self.error("conditional elements cannot nest", node.pos)
-                return ConditionalInterface()
+                return Interface.zero()
             branches = []
-            if not then.unconditional.is_zero:
-                branches.append((ConditionLiteral(node.variable, node.negated),
-                                 then.unconditional))
-            if not otherwise.unconditional.is_zero:
-                branches.append((ConditionLiteral(node.variable, not node.negated),
-                                 otherwise.unconditional))
+            if not then.is_zero:
+                branches.append((ConditionLiteral(node.variable, node.negated), then))
+            if not otherwise.is_zero:
+                branches.append((ConditionLiteral(node.variable, not node.negated), otherwise))
+            if not branches:
+                return Interface.zero()
             return ConditionalInterface(branches=branches)
         raise TypeError(f"unknown expression node: {type(node).__name__}")
+
+
+def _plain_if_possible(value: ConditionalInterface) -> Interface | ConditionalInterface:
+    return value.unconditional if value.is_plain else value
+
+
+def _scaled(value: Interface | ConditionalInterface, n: int) -> Interface | ConditionalInterface:
+    """``n`` times ``value``; branches that scaling by 0 cancels are dropped."""
+    if isinstance(value, Interface):
+        return n * value
+    return _plain_if_possible(value.map_interfaces(lambda i: n * i))
 
 
 def _declare_entities(item: EntityItem, parent: str | None, catalog: Catalog, diags: list):
@@ -276,8 +305,7 @@ def resolve(module: SpecModule, allow_undeclared: bool = False) -> Resolution:
 
     res = Resolution(module, catalog)
     res.diagnostics.extend(diags)
-    for name, value in evaluator.values.items():
-        res.interfaces[name] = value.unconditional if value.is_plain else value
+    res.interfaces.update(evaluator.values)
     for item in module.interface_defs():
         if item.monoid:
             res.monoid_names.add(item.name)
@@ -432,7 +460,7 @@ def lint(res: Resolution) -> list[Diagnostic]:
 def evaluate_expression_text(text: str):
     """Parse and evaluate a standalone interface expression (no catalogs,
     no named references).  Returns an Interface, or a ConditionalInterface
-    when conditional elements are present."""
+    when a branch of a conditional element survives."""
     node = parse_expression(text)
     module = SpecModule()
     evaluator = _Evaluator(module, Catalog(), allow_undeclared=True)
@@ -440,4 +468,4 @@ def evaluate_expression_text(text: str):
     hard = [d for d in evaluator.diagnostics if d.severity == "error"]
     if hard:
         raise ValueError(hard[0].render())
-    return value.unconditional if value.is_plain else value
+    return value

@@ -187,6 +187,14 @@ class ConditionalInterface:
             raise ScopeError(_MIXED_BRANCHES)
         self._branches = tuple(sorted(acc.items(), key=lambda t: t[0].sort_key()))
 
+    @classmethod
+    def plain(cls, unconditional: Interface) -> ConditionalInterface:
+        """``unconditional`` with no branches: nothing to merge or scope-check."""
+        value = cls.__new__(cls)
+        value._unconditional = unconditional
+        value._branches = ()
+        return value
+
     @property
     def unconditional(self) -> Interface:
         return self._unconditional
@@ -211,9 +219,11 @@ class ConditionalInterface:
 
     def __add__(self, other):
         if isinstance(other, Interface):
-            other = ConditionalInterface(other)
+            other = ConditionalInterface.plain(other)
         if not isinstance(other, ConditionalInterface):
             return NotImplemented
+        if not self._branches and not other._branches:
+            return ConditionalInterface.plain(self._unconditional + other._unconditional)
         return conditional_sum((self, other))
 
     def __eq__(self, other):
@@ -243,6 +253,15 @@ class ConditionalInterface:
 
     def __repr__(self):
         return f"ConditionalInterface<{self.render()}>"
+
+
+def as_conditional(value: Interface | ConditionalInterface) -> ConditionalInterface:
+    """``value`` as a ConditionalInterface; a plain Interface gets no branches."""
+    if isinstance(value, ConditionalInterface):
+        return value
+    if isinstance(value, Interface):
+        return ConditionalInterface.plain(value)
+    raise TypeError(f"expected Interface or ConditionalInterface, got {type(value).__name__}")
 
 
 def conditional_sum(parts: Iterable[ConditionalInterface]) -> ConditionalInterface:

@@ -327,3 +327,77 @@ class TestSumOracle:
     def test_one_scope_sums_equal_pairwise_fold(self, parts):
         # without scope errors, the overflow verdicts are what is compared
         assert outcome(lambda: interface_sum(parts).terms) == outcome(pairwise_sum, parts)
+
+
+# ---------------------------------------------- normal-form constructors
+
+def terms_and_scope(value):
+    return value.terms, value.scope
+
+
+def renormalized(terms):
+    """``terms`` passed through the full ``Interface(...)`` normalization."""
+    return terms_and_scope(Interface(terms))
+
+
+def built(fn):
+    """``outcome`` of ``fn()``, with the scope beside the terms."""
+    return outcome(lambda: terms_and_scope(fn()))
+
+
+OVERFLOW_2_63 = "coefficient 9223372036854775808 exceeds 64-bit signed range"
+
+
+class TestNormalFormConstructors:
+    """``term``, ``-i`` and ``n * i`` build their results from terms already
+    in normal form; each must equal the value, scope and first error of the
+    same terms passed through ``Interface(...)``."""
+
+    def test_negating_i64_min_overflows(self):
+        with pytest.raises(OverflowError, match=f"^{OVERFLOW_2_63}$"):
+            -Interface.term(X, I64_MIN)
+        assert built(lambda: -Interface.term(X, I64_MIN)) == \
+            outcome(renormalized, [(X, -I64_MIN)])
+
+    def test_term_out_of_range_overflows(self):
+        with pytest.raises(OverflowError, match=f"^{OVERFLOW_2_63}$"):
+            Interface.term(X, 2**63)
+        assert built(lambda: Interface.term(X, 2**63)) == outcome(renormalized, [(X, 2**63)])
+
+    def test_scaling_raises_on_the_first_term_in_order(self):
+        both = iface((Y, I64_MAX), (X, I64_MAX))
+        with pytest.raises(OverflowError, match=f"coefficient {2 * I64_MAX} exceeds"):
+            2 * both
+        # distinct coefficients show which term the error came from
+        first, second = both.terms[0][0], both.terms[1][0]
+        for low, high in ((first, second), (second, first)):
+            i = iface((low, I64_MAX - 1), (high, I64_MAX))
+            want = 2 * (I64_MAX - 1) if low is first else 2 * I64_MAX
+            with pytest.raises(OverflowError, match=f"coefficient {want} exceeds"):
+                2 * i
+            assert built(lambda: 2 * i) == \
+                outcome(renormalized, [(g, 2 * c) for g, c in i.terms])
+
+    def test_zero_results(self):
+        i = iface((X, 3), (Y, -1))
+        for value in (0 * i, i * 0, Interface.term(X, 0), -Interface.zero(),
+                      5 * Interface.zero()):
+            assert value == Interface.zero()
+            assert value.scope is None
+
+    def test_term_of_non_generator(self):
+        with pytest.raises(TypeError, match="^expected Generator, got str$"):
+            Interface.term("x")
+        with pytest.raises(TypeError, match="^expected Generator, got str$"):
+            Interface.term("x", 0)
+
+    @given(interfaces(), st.one_of(st.integers(-3, 3), st.sampled_from(
+        (I64_MAX, I64_MIN, 2**62, -(2**62), 2**63, -(2**64)))))
+    @settings(max_examples=300, deadline=None)
+    def test_equal_to_renormalized(self, i, n):
+        assert built(lambda: n * i) == outcome(renormalized, [(g, c * n) for g, c in i])
+        assert built(lambda: i * n) == built(lambda: n * i)
+        assert built(lambda: -i) == outcome(renormalized, [(g, -c) for g, c in i])
+        for g, c in i:
+            assert built(lambda: Interface.term(g, c * n)) == \
+                outcome(renormalized, [(g, c * n)])

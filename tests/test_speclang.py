@@ -4,15 +4,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import old_resolver
 import old_speclang
 from conftest import FIXTURES
 
-from ftig.algebra import Interface, client, service
+from ftig import transform
+from ftig.algebra import I64_MAX, Interface, client, service
 from ftig.errors import ParseError
 from ftig.speclang import (
     evaluate_expression_text, lint, parse_expression, parse_module, resolve,
     tokenize,
 )
+from ftig.speclang import resolver as resolver_module
 from ftig.speclang.astnodes import (
     CondExpr, GenExpr, NegExpr, RefExpr, ScaleExpr, SpecModule, SumExpr,
 )
@@ -122,6 +125,150 @@ class TestFrontEndOracle:
         assume(not any(ch.isdigit() and not ch.isascii() for ch in text))
         assert lexed(tokenize, text) == lexed(old_speclang.tokenize, text)
         assert parsed(parse_module, text) == parsed(old_speclang.parse_module, text)
+
+
+# --------------------------------------------------- resolver oracle
+
+# small pools, so that terms meet: sums cancel, overflow and mix scopes;
+# the entity u, the condition v and the interfaces X and Y are never declared
+FACTORS = (0, 1, 2, 3, I64_MAX, I64_MAX - 1, 2**62, 2**63, 2**64)
+REFS = ("I0", "I1", "I2", "R", "N", "X")
+GENERATOR_TEXTS = st.sampled_from(tuple(
+    f"{tilde}{target}.{action}({motive}){host}{alpha}"
+    for tilde in ("", "~") for target in ("e1", "e2", "u") for action in ("a", "a", "b")
+    for motive in ("m", "m", "m + n", "0") for host in ("", "", "@e1", "@e2", "@u")
+    for alpha in ("", "", "", "/T")))
+LITERALS = st.sampled_from(("c", "!c", "d", "!v"))
+
+
+def _join_sum(first_and_rest):
+    first, rest = first_and_rest
+    return " ".join([first] + [f"{sign} {factor}" for sign, factor in rest])
+
+
+def scaled(primary):
+    return st.tuples(st.sampled_from(FACTORS), primary).map("{0[0]} x {0[1]}".format)
+
+
+def expression_strategies(depth):
+    """Strategies for the text of a factor and of an expression whose
+    groups nest at most ``depth`` deep.  Built once: nested composite draws
+    would make generation, not resolution, the cost of each example."""
+    atom = st.one_of(GENERATOR_TEXTS, st.sampled_from(REFS), st.just("0"))
+    if depth == 0:
+        primary = atom
+        factor = st.one_of(primary, primary, primary, scaled(primary))
+    else:
+        inner_factor, inner = expression_strategies(depth - 1)
+        # a group minus itself: its branches and terms cancel
+        atom = st.one_of(atom, inner.map("({})".format),
+                         inner.map(lambda text: f"({text} - ({text}))"))
+        primary = st.one_of(atom, atom, st.tuples(atom, LITERALS, atom).map(
+            lambda t: f"{t[0]} <| {t[1]} |> {t[2]}"))
+        factor = st.one_of(primary, primary, primary, scaled(primary),
+                           inner_factor.map("-{}".format))
+    expression = st.tuples(
+        factor, st.lists(st.tuples(st.sampled_from("+-"), factor), max_size=3)).map(_join_sum)
+    return factor, expression
+
+
+EXPRESSIONS = {depth: expression_strategies(depth)[1] for depth in (1, 2, 3)}
+
+
+@st.composite
+def module_text(draw):
+    lines = ["entity e1", "entity e2", "entity e3", "action a", "action b",
+             "motive m", "motive n", "condition c", "condition d"]
+    names = ["I0", "I1", "I2"] + (["I1"] if draw(st.booleans()) else [])
+    for name in names:
+        scope = draw(st.sampled_from(("", "", " @local", " @global")))
+        monoid = draw(st.sampled_from(("", "", " monoid")))
+        lines.append(f"interface {name}{scope}{monoid} {{ {draw(EXPRESSIONS[2])} }}")
+    source = draw(st.sampled_from(REFS[:3] + ("X", "N")))
+    part = draw(st.sampled_from(("p1", "e2")))
+    lines.append(f"refine R = {source} expand e1 into {part}, p2")
+    source = draw(st.sampled_from(REFS[:3] + ("R", "Y")))
+    target = draw(st.sampled_from(("e2", "z")))
+    lines.append(f"rename N = {source} {{ entity e1 -> {target}, motive m -> n, "
+                 f"action b -> a }}")
+    for arch in ("A0", "A1"):
+        members = []
+        for _ in range(draw(st.integers(1, 3))):
+            contained = draw(st.sampled_from(("", "contained ")))
+            entity = draw(st.sampled_from(("e1", "e2", "u")))
+            members.append(f"{contained}{entity} : {{ {draw(EXPRESSIONS[1])} }}")
+        lines.append(f"architecture {arch} {{ {', '.join(members)} }}")
+    lines.append(f"check closed {draw(st.sampled_from(('A0', 'A1', 'Z')))}")
+    return "\n".join(lines) + "\n"
+
+
+def resolution_of(resolve_fn, text, allow_undeclared):
+    """Everything a resolution holds, with the type and scope of each value,
+    or the type and text of what resolving raised."""
+    try:
+        res = resolve_fn(parse_module(text, "m.fti"), allow_undeclared=allow_undeclared)
+    except (OverflowError, ValueError) as exc:
+        return ("raised", type(exc), str(exc))
+    return (
+        [(name, type(v), v, v.scope) for name, v in res.interfaces.items()],
+        {name: [(m.entity, m.interface, m.interface.scope, m.contained)
+                for m in arch.members]
+         for name, arch in res.architectures.items()},
+        [(d.severity, d.message, d.pos) for d in res.diagnostics],
+        res.monoid_names,
+        res.catalog,
+        [(d.severity, d.message, d.pos) for d in lint(res)],
+    )
+
+
+def expression_value(evaluate_fn, text):
+    try:
+        value = evaluate_fn(text)
+    except (OverflowError, ValueError) as exc:
+        return ("raised", type(exc), str(exc))
+    return type(value), value, value.scope
+
+
+class TestResolverOracle:
+    """Resolution equals that of the evaluator that wrapped every value in a
+    ConditionalInterface (``old_resolver``): values and their types,
+    architectures, diagnostics with positions, and the first error."""
+
+    @given(text=module_text(), allow_undeclared=st.booleans())
+    @example(text="entity e\naction a\nmotive m\ncondition c\n"
+                  "interface I { (e.a(m) <| c |> 0) - (e.a(m) <| c |> 0) + e.a(m) }\n"
+                  "interface J { 0 x (e.a(m) <| c |> 0) + -I }\n"
+                  "architecture A { e : I, e : J <| c |> 0 }\n", allow_undeclared=False)
+    @example(text="entity e\naction a\nmotive m\ncondition c\n"
+                  f"interface I {{ {I64_MAX} x e.a(m) + e.a(m) <| c |> 0 + X }}\n"
+                  "interface J { e.a(m)@e + I }\n", allow_undeclared=False)
+    # branches that scaling by 0 cancels, alone and inside a conditional
+    @example(text="entity e\naction a\nmotive m\ncondition c\n"
+                  "interface I { 0 x e.a(m) <| c |> 0 }\n"
+                  "interface J { (0 x (e.a(m) <| c |> 0)) <| c |> 0 }\n"
+                  "refine R = I expand e into p, q\n", allow_undeclared=True)
+    @settings(max_examples=300, deadline=None)
+    def test_random_modules(self, text, allow_undeclared):
+        assert resolution_of(resolve, text, allow_undeclared) == \
+            resolution_of(old_resolver.resolve, text, allow_undeclared)
+
+    @given(text=EXPRESSIONS[3])
+    @example(text="0 x e.a(m) <| c |> 0")
+    @example(text="-(2 x (e.a(m) <| c |> 0) - (e.a(m) <| c |> e.b(m)) + e.a(m) <| c |> 0)")
+    @example(text="9223372036854775807 x e.a(m) + e.a(m) <| c |> 0 - e.a(m)@e")
+    @settings(max_examples=300, deadline=None)
+    def test_random_expressions(self, text):
+        assert expression_value(evaluate_expression_text, text) == \
+            expression_value(old_resolver.evaluate_expression_text, text)
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_TEXTS))
+    def test_fixtures(self, name):
+        text = FIXTURE_TEXTS[name]
+        if name == "closed_arch.fti":
+            text = FIXTURE_TEXTS["catalog.fti"] + FIXTURE_TEXTS["lfti_maeiis.fti"] + text
+        for allow_undeclared in (False, True):
+            assert resolution_of(resolve, text, allow_undeclared) == \
+                resolution_of(old_resolver.resolve, text, allow_undeclared)
 
 
 class TestParserPrecedence:
@@ -312,6 +459,46 @@ interface G @global { f.a(m)@g + h.a(m2)@g }
 refine Split = G expand f into f1, f2
 rename Merged = G { motive m -> m2, entity h -> g }
 """
+
+
+def resolve_fixtures(*names):
+    module = SpecModule()
+    for name in names:
+        module.extend(parse_module(FIXTURE_TEXTS[name], filename=name))
+    return resolve(module)
+
+
+class TestPlainPath:
+    """Values without branches never pass through the conditional machinery:
+    no ConditionalInterface is constructed and no conditional_sum runs."""
+
+    def test_plain_module_skips_the_conditional_machinery(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("conditional machinery used for a plain value")
+
+        monkeypatch.setattr(transform, "conditional_sum", refuse)
+        monkeypatch.setattr(resolver_module, "conditional_sum", refuse)
+        monkeypatch.setattr(transform.ConditionalInterface, "__init__", refuse)
+        res = resolve_fixtures("catalog.fti", "lfti_maeiis.fti", "closed_arch.fti")
+        assert res.ok, [d.render() for d in res.errors]
+        assert res.interfaces and all(isinstance(v, Interface) for v in res.interfaces.values())
+        assert not res.architectures["ClosedMaEIis"].has_conditionals
+        assert evaluate_expression_text("2 x (f.a(m)@g - g.a(m)@f) + -f.a(m)@g") == \
+            Interface([(service("f", "a", "m", host="g"), 1),
+                       (service("g", "a", "m", host="f"), -2)])
+
+    def test_conditional_module_reaches_conditional_sum(self, monkeypatch):
+        calls = []
+
+        def counted(parts):
+            calls.append(parts)
+            return transform.conditional_sum(parts)
+
+        monkeypatch.setattr(resolver_module, "conditional_sum", counted)
+        res = resolve_fixtures("cond_open.fti")
+        assert res.ok, [d.render() for d in res.errors]
+        assert calls
+        assert res.architectures["CondOpen"].has_conditionals
 
 
 class TestDerivedDefinitions:
