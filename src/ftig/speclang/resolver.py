@@ -17,7 +17,7 @@ from ..errors import ScopeError, SourcePosition
 from ..record import Record
 from ..transform import (
     ConditionalInterface, ConditionLiteral, RefinementSpec, RenameMap,
-    as_conditional, conditional_sum, expand_motives, refine, rename,
+    conditional_sum, expand_motives, refine, rename,
 )
 from .astnodes import (
     ActionItem, ArchitectureDef, CheckDirective, CondExpr, ConditionItem,
@@ -211,9 +211,9 @@ class _Evaluator:
         for sign, part in parts:
             value = self._eval_signed(sign, part)
             if isinstance(value, ConditionalInterface):
-                rest = (as_conditional(self._eval_signed(sign, part)) for sign, part in parts)
+                rest = (self._eval_signed(sign, part) for sign, part in parts)
                 return _plain_if_possible(conditional_sum(itertools.chain(
-                    (as_conditional(running.total()), value), rest)))
+                    (running.total(), value), rest)))
             running.add(value)
         return running.total()
 

@@ -187,14 +187,6 @@ class ConditionalInterface:
             raise ScopeError(_MIXED_BRANCHES)
         self._branches = tuple(sorted(acc.items(), key=lambda t: t[0].sort_key()))
 
-    @classmethod
-    def plain(cls, unconditional: Interface) -> ConditionalInterface:
-        """``unconditional`` with no branches: nothing to merge or scope-check."""
-        value = cls.__new__(cls)
-        value._unconditional = unconditional
-        value._branches = ()
-        return value
-
     @property
     def unconditional(self) -> Interface:
         return self._unconditional
@@ -219,11 +211,9 @@ class ConditionalInterface:
 
     def __add__(self, other):
         if isinstance(other, Interface):
-            other = ConditionalInterface.plain(other)
+            other = ConditionalInterface(other)
         if not isinstance(other, ConditionalInterface):
             return NotImplemented
-        if not self._branches and not other._branches:
-            return ConditionalInterface.plain(self._unconditional + other._unconditional)
         return conditional_sum((self, other))
 
     def __eq__(self, other):
@@ -260,12 +250,14 @@ def as_conditional(value: Interface | ConditionalInterface) -> ConditionalInterf
     if isinstance(value, ConditionalInterface):
         return value
     if isinstance(value, Interface):
-        return ConditionalInterface.plain(value)
+        return ConditionalInterface(value)
     raise TypeError(f"expected Interface or ConditionalInterface, got {type(value).__name__}")
 
 
-def conditional_sum(parts: Iterable[ConditionalInterface]) -> ConditionalInterface:
+def conditional_sum(parts: Iterable[Interface | ConditionalInterface]) -> ConditionalInterface:
     """Sum of ``parts`` in one pass; equal, value and errors, to folding ``+``.
+
+    A plain ``Interface`` part counts as an unconditional part with no branches.
 
     One running sum holds the unconditional parts and one per literal.  Each
     part adds its unconditional interface, then its branches in literal
@@ -275,7 +267,11 @@ def conditional_sum(parts: Iterable[ConditionalInterface]) -> ConditionalInterfa
     branches: dict[ConditionLiteral, RunningSum] = {}
     nonzero = Counter()  # scope -> running sums of that scope with nonzero total
     for part in parts:
-        for lit, iface in ((None, part.unconditional), *part.branches):
+        if isinstance(part, Interface):
+            items = ((None, part),)
+        else:
+            items = ((None, part.unconditional), *part.branches)
+        for lit, iface in items:
             running = unconditional if lit is None else branches.setdefault(lit, RunningSum())
             nonzero[running.scope] -= 1
             running.add(iface)

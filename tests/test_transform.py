@@ -331,6 +331,9 @@ class TestConditionalSumOracle:
     def test_conditional_sum_equals_pairwise_fold(self, parts):
         want = outcome(pairwise_conditional_sum, parts)
         assert outcome(lambda: parts_of(conditional_sum(iter(parts)))) == want
+        # a part without branches may be passed as its plain Interface
+        unwrapped = [p.unconditional if p.is_plain else p for p in parts]
+        assert outcome(lambda: parts_of(conditional_sum(iter(unwrapped)))) == want
         folded = outcome(
             lambda: parts_of(functools.reduce(operator.add, parts, ConditionalInterface())))
         assert folded == want
