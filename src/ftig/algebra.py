@@ -13,7 +13,7 @@ Coefficients are 64-bit signed with checked arithmetic: overflow raises
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 
 from .errors import ScopeError
 from .record import Record
@@ -390,3 +390,16 @@ def interface_sum(parts: Iterable[Interface]) -> Interface:
     for part in parts:
         running.add(part)
     return running.total()
+
+
+def induced(iface: Interface,
+            image: Callable[[Generator], Iterable[tuple[Generator, int]]]) -> Interface:
+    """The homomorphism that sends each generator ``g`` to the sum of the
+    ``(h, sign)`` terms in ``image(g)``, applied to ``iface``.
+
+    The group is free, so the generator map fixes the homomorphism.  The
+    image terms, coefficients multiplied through, are accumulated by
+    ``Interface`` in term order, so the first overflow is that of the
+    term-by-term sum.
+    """
+    return Interface([(h, sign * c) for g, c in iface.terms for h, sign in image(g)])

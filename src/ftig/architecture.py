@@ -13,7 +13,7 @@ import csv
 import io
 
 from .algebra import (
-    ALPHA_F, ALPHA_NONE, ALPHA_T, ALPHA_TF, ALPHAS, CLIENT, SERVICE,
+    ALPHA_F, ALPHA_NONE, ALPHA_T, ALPHA_TF, ALPHAS, CLIENT, GLOBAL, SERVICE,
     Generator, Interface, interface_sum,
 )
 from .catalog import Catalog
@@ -38,20 +38,18 @@ class ArchMember(Record):
 
 class Architecture:
     """Ordered members with distinct entities; duplicate listings for the
-    same entity are merged additively at construction."""
+    same entity are merged additively at construction.  ``members`` holds
+    ``(entity, interface)`` or ``(entity, interface, contained)`` tuples."""
 
     def __init__(self, name: str, members=()):
         self.name = name
         merged: dict[str, ArchMember] = {}
         order: list[str] = []
         for item in members:
-            if isinstance(item, ArchMember):
-                entity, iface, contained = item.entity, item.interface, item.contained
-            else:
-                entity, iface = item[0], item[1]
-                contained = item[2] if len(item) > 2 else False
+            entity, iface = item[0], item[1]
+            contained = item[2] if len(item) > 2 else False
             cond = as_conditional(iface)
-            if cond.scope == "global":
+            if cond.scope == GLOBAL:
                 raise ScopeError(f"member {entity} must hold a local interface")
             if entity in merged:
                 prev = merged[entity]

@@ -14,7 +14,7 @@ monoid elements; for arbitrary group elements it holds modulo reflection.
 
 from __future__ import annotations
 
-from .algebra import ALPHA_TF, Generator, Interface, interface_sum
+from .algebra import ALPHA_TF, GLOBAL, LOCAL, Generator, Interface, induced, interface_sum
 from .catalog import Catalog
 from .errors import ScopeError
 from .record import Record
@@ -22,16 +22,12 @@ from .record import Record
 
 def globalize(entity: str, iface: Interface, catalog: Catalog | None = None) -> Interface:
     """Host every element of a local interface at ``entity``."""
-    if iface.scope == "global":
+    if iface.scope == GLOBAL:
         raise ScopeError("globalize expects a local interface")
     if catalog is not None and not catalog.has_entity(entity):
         raise ValueError(f"entity {entity} is not in the catalog")
-    return Interface(
-        tuple(
-            (Generator(g.target, g.action, g.motive, g.polarity, entity, g.alpha), c)
-            for g, c in iface
-        )
-    )
+    return induced(iface, lambda g: (
+        (Generator(g.target, g.action, g.motive, g.polarity, entity, g.alpha), 1),))
 
 
 def _strip_host(gen: Generator) -> Generator:
@@ -54,7 +50,7 @@ def localize(entity: str, iface: Interface) -> Interface:
     incoming element when this entity is its target.  Negative non-TF
     terms have no conversion rule and project directly.
     """
-    if iface.scope == "local":
+    if iface.scope == LOCAL:
         raise ScopeError("localize expects a global interface")
     acc = []
     for term in iface:
@@ -80,7 +76,7 @@ def decompose(iface: Interface) -> Decomposition:
     projects it onto; the parts are then built in entity order, so each
     equals ``localize(entity, iface)``, overflow included.
     """
-    if iface.scope == "local":
+    if iface.scope == LOCAL:
         raise ScopeError("decompose expects a global interface")
     buckets: dict[str, list[tuple[Generator, int]]] = {}
     for term in iface:

@@ -14,7 +14,7 @@ they pass through unchanged and are reported as non-cancellable.
 
 from __future__ import annotations
 
-from .algebra import ALPHA_TF, CLIENT, Generator, Interface, render_motive
+from .algebra import ALPHA_TF, CLIENT, LOCAL, Generator, Interface, induced, render_motive
 from .errors import ScopeError
 from .record import Record
 
@@ -74,16 +74,14 @@ def reduce_modulo_reflection(iface: Interface) -> Residual:
     A group homomorphism: applied term by term, its kernel is exactly the
     reflector subgroup.
     """
-    if iface.scope == "local":
+    if iface.scope == LOCAL:
         raise ScopeError("cannot reduce a local interface modulo reflection")
-    acc = []
-    for gen, coeff in iface:
-        reflected = reflect_generator(gen)
-        if reflected is None:
-            continue
-        canon_gen, sign = reflected
-        acc.append((canon_gen, sign * coeff))
-    return Residual.of(Interface(acc))
+    return Residual.of(induced(iface, _reflected))
+
+
+def _reflected(gen: Generator) -> tuple[tuple[Generator, int], ...]:
+    term = reflect_generator(gen)
+    return () if term is None else (term,)
 
 
 class ClosednessReport(Record):

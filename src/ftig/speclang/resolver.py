@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from ..algebra import ALPHA_TF, Generator, Interface, RunningSum
+from ..algebra import ALPHA_TF, GLOBAL, Generator, Interface, RunningSum
 from ..architecture import Architecture
 from ..catalog import Catalog
 from ..errors import ScopeError, SourcePosition
@@ -328,7 +328,7 @@ def resolve(module: SpecModule, allow_undeclared: bool = False) -> Resolution:
                     "error", f"in architecture {arch_def.name}: {exc}", member.pos))
                 broken = True
                 continue
-            if value.scope == "global":
+            if value.scope == GLOBAL:
                 res.diagnostics.append(Diagnostic(
                     "error",
                     f"architecture member {member.entity} must hold a local interface",
@@ -336,8 +336,13 @@ def resolve(module: SpecModule, allow_undeclared: bool = False) -> Resolution:
                 broken = True
                 continue
             members.append((member.entity, value, member.contained))
-        if not broken:
+        if broken:
+            continue
+        try:  # merging an entity's repeated listings can overflow
             res.architectures[arch_def.name] = Architecture(arch_def.name, members)
+        except (ScopeError, OverflowError) as exc:
+            res.diagnostics.append(Diagnostic(
+                "error", f"in architecture {arch_def.name}: {exc}", arch_def.pos))
     # architecture evaluation may have added more name diagnostics
     res.diagnostics.extend(evaluator.diagnostics)
 

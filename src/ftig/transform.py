@@ -1,7 +1,10 @@
 """Structural homomorphisms on interfaces and conditional-interface evaluation.
 
 All of these are group homomorphisms: motive expansion, entity refinement,
-annihilation of designated elements, and catalog renaming.  Conditional
+annihilation of designated elements, and catalog renaming.  A homomorphism
+out of the free interface group is fixed by its image of each generator, and
+``algebra.induced`` is the single way one is built from that image (here, and
+for ``globalize`` and ``reduce_modulo_reflection``).  Conditional
 interfaces attach branches guarded by boolean condition literals.  The
 all-assignments check reports closedness under every truth assignment.
 Reduction modulo reflection is a homomorphism too, so it reduces the
@@ -15,7 +18,9 @@ import itertools
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
 
-from .algebra import GLOBAL, I64_MAX, LOCAL, Generator, Interface, RunningSum, interface_sum
+from .algebra import (
+    GLOBAL, I64_MAX, LOCAL, Generator, Interface, RunningSum, induced, interface_sum,
+)
 from .errors import CapacityError, ScopeError
 from .record import Record
 from .reflection import ClosednessReport, Residual, is_closed, reduce_modulo_reflection
@@ -32,14 +37,9 @@ def expand_motives(iface: Interface) -> Interface:
     (the coefficient multiplying through the multiset multiplicity); terms
     with the zero motive vanish.  Idempotent.
     """
-    acc = []
-    for gen, coeff in iface:
-        for atom in gen.motive:
-            acc.append(
-                (Generator(gen.target, gen.action, (atom,), gen.polarity, gen.host, gen.alpha),
-                 coeff)
-            )
-    return Interface(acc)
+    return induced(iface, lambda g: [
+        (Generator(g.target, g.action, (atom,), g.polarity, g.host, g.alpha), 1)
+        for atom in g.motive])
 
 
 class RefinementSpec(Record):
@@ -67,37 +67,26 @@ def refine(iface: Interface, spec: RefinementSpec) -> Interface:
     host produce one sum over parts; untouched elements pass through.
     Applies to both polarities; motives must already be atomic.
     """
-    if iface.scope == "local":
+    if iface.scope == LOCAL:
         raise ScopeError("refine expects a global interface")
-    acc = []
-    for gen, coeff in iface:
-        if not gen.has_atomic_motive:
+
+    def image(g: Generator) -> list[tuple[Generator, int]]:
+        if not g.has_atomic_motive:
             raise ValueError(
-                f"refine needs atomic motives; expand first (offending element: {gen.text()})"
+                f"refine needs atomic motives; expand first (offending element: {g.text()})"
             )
-        hits_target = gen.target == spec.coarse
-        hits_host = gen.host == spec.coarse
-        if hits_target and hits_host:
-            for ti, hj in itertools.product(spec.parts, spec.parts):
-                acc.append((Generator(ti, gen.action, gen.motive, gen.polarity, hj, gen.alpha),
-                            coeff))
-        elif hits_target:
-            for ti in spec.parts:
-                acc.append((Generator(ti, gen.action, gen.motive, gen.polarity, gen.host,
-                                      gen.alpha), coeff))
-        elif hits_host:
-            for hj in spec.parts:
-                acc.append((Generator(gen.target, gen.action, gen.motive, gen.polarity, hj,
-                                      gen.alpha), coeff))
-        else:
-            acc.append((gen, coeff))
-    return Interface(acc)
+        targets = spec.parts if g.target == spec.coarse else (g.target,)
+        hosts = spec.parts if g.host == spec.coarse else (g.host,)
+        return [(Generator(t, g.action, g.motive, g.polarity, h, g.alpha), 1)
+                for t, h in itertools.product(targets, hosts)]
+
+    return induced(iface, image)
 
 
 def annihilate(iface: Interface, kill: Iterable[Generator]) -> Interface:
     """Set the coefficient of each listed generator to zero."""
     doomed = set(kill)
-    return Interface(tuple((g, c) for g, c in iface if g not in doomed))
+    return induced(iface, lambda g: () if g in doomed else ((g, 1),))
 
 
 class RenameMap(Record):
@@ -128,19 +117,14 @@ class RenameMap(Record):
 
 def rename(iface: Interface, mapping: RenameMap) -> Interface:
     """Apply a catalog renaming to every element; identical images merge."""
-    acc = []
-    for gen, coeff in iface:
-        acc.append(
-            (Generator(
-                mapping.entity(gen.target),
-                mapping.action(gen.action),
-                tuple(mapping.motive_atom(a) for a in gen.motive),
-                gen.polarity,
-                None if gen.host is None else mapping.entity(gen.host),
-                gen.alpha,
-            ), coeff)
-        )
-    return Interface(acc)
+    return induced(iface, lambda g: ((Generator(
+        mapping.entity(g.target),
+        mapping.action(g.action),
+        tuple(mapping.motive_atom(a) for a in g.motive),
+        g.polarity,
+        None if g.host is None else mapping.entity(g.host),
+        g.alpha,
+    ), 1),))
 
 
 class ConditionLiteral(Record):

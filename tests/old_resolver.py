@@ -7,7 +7,9 @@ conditional machinery, kept as the oracle for
 ``_eval_signed`` and ``eval``) with the copies, and keeps its constructor,
 diagnostics and name checks.  ``resolve`` and ``evaluate_expression_text``
 are the copies that turned plain results back into ``Interface`` at the end.
-Only the imports and the evaluator's class name are changed.
+Only the imports and the evaluator's class name are changed, and ``resolve``
+reports an overflow in merging an architecture's repeated listings as a
+diagnostic, as today's ``resolve`` does; the oracle is about evaluation.
 """
 
 from __future__ import annotations
@@ -179,8 +181,13 @@ def resolve(module: SpecModule, allow_undeclared: bool = False) -> Resolution:
                 broken = True
                 continue
             members.append((member.entity, value, member.contained))
-        if not broken:
+        if broken:
+            continue
+        try:  # merging an entity's repeated listings can overflow
             res.architectures[arch_def.name] = Architecture(arch_def.name, members)
+        except (ScopeError, OverflowError) as exc:
+            res.diagnostics.append(Diagnostic(
+                "error", f"in architecture {arch_def.name}: {exc}", arch_def.pos))
     # architecture evaluation may have added more name diagnostics
     res.diagnostics.extend(evaluator.diagnostics)
 

@@ -355,13 +355,25 @@ class TestArithmeticContract:
         assert (f"{spec}:5:1: error: in interface Big: "
                 "coefficient 9223372036854775808 exceeds 64-bit signed range\n") in err
 
+    # merging an entity's repeated listings is part of resolving the
+    # architecture, so its overflow is a static error at the architecture
     def test_member_listed_twice_overflows_when_merged(self, capsys, tmp_path):
         spec = tmp_path / "twice.fti"
         spec.write_text(HEADER + f"architecture Twice {{\n  e1 : {{ {MAX} x e2.a(m) }},\n"
                         "  e1 : { e2.a(m) }\n}\n")
         code, out, err = invoke(capsys, "closed", "Twice", str(spec))
-        assert code == 3 and out == ""
-        assert err == "error: coefficient 9223372036854775808 exceeds 64-bit signed range\n"
+        assert code == 2 and out == ""
+        assert err == (f"{spec}:5:1: error: in architecture Twice: "
+                       "coefficient 9223372036854775808 exceeds 64-bit signed range\n"
+                       "error: 1 resolution error(s)\n")
+
+    def test_member_listed_twice_overflow_in_check(self, capsys, tmp_path):
+        spec = tmp_path / "twice.fti"
+        spec.write_text(HEADER + f"architecture A {{ e1 : {MAX} x e2.a(m), e1 : e2.a(m) }}\n")
+        code, out, err = invoke(capsys, "check", str(spec))
+        assert code == 2 and out == "FAILED\n"
+        assert err == (f"{spec}:5:1: error: in architecture A: "
+                       "coefficient 9223372036854775808 exceeds 64-bit signed range\n")
 
     def test_first_overflowing_listing_wins(self, capsys, tmp_path):
         # e2's second listing overflows before e1's does, in listing order
@@ -370,8 +382,10 @@ class TestArithmeticContract:
                         f"  e2 : {{ {MAX} x e1.a(m) }},\n  e2 : {{ e1.a(m) }},\n"
                         "  e1 : { 2 x e2.a(m) }\n}\n")
         code, out, err = invoke(capsys, "closed", "Twice", str(spec))
-        assert code == 3 and out == ""
-        assert err == "error: coefficient 9223372036854775808 exceeds 64-bit signed range\n"
+        assert code == 2 and out == ""
+        assert err == (f"{spec}:5:1: error: in architecture Twice: "
+                       "coefficient 9223372036854775808 exceeds 64-bit signed range\n"
+                       "error: 1 resolution error(s)\n")
 
     def test_evaluated_conditional_sum_overflows(self, capsys, tmp_path):
         # under c=true the member evaluates to 2**63 x ~e1.a(m), which

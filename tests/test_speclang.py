@@ -247,6 +247,10 @@ class TestResolverOracle:
                   "interface I { 0 x e.a(m) <| c |> 0 }\n"
                   "interface J { (0 x (e.a(m) <| c |> 0)) <| c |> 0 }\n"
                   "refine R = I expand e into p, q\n", allow_undeclared=True)
+    # merging the repeated listings of e overflows
+    @example(text="entity e\naction a\nmotive m\n"
+                  f"architecture A {{ e : {I64_MAX} x e.a(m), e : e.a(m) }}\n",
+             allow_undeclared=False)
     @settings(max_examples=300, deadline=None)
     def test_random_modules(self, text, allow_undeclared):
         assert resolution_of(resolve, text, allow_undeclared) == \

@@ -6,10 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ftig.algebra import ALPHA_TF, Generator, Interface, client, service
+import old_homomorphisms as old
+from ftig.algebra import (
+    ALPHA_TF, ALPHAS, I64_MAX, I64_MIN, Generator, Interface, client, service,
+)
+from ftig.catalog import Catalog
 from ftig.errors import CapacityError, ScopeError
 from ftig.locglob import globalize
-from ftig.reflection import ClosednessReport, Residual, is_closed, reflect_generator
+from ftig.reflection import (
+    ClosednessReport, Residual, is_closed, reduce_modulo_reflection, reflect_generator,
+)
 from ftig.transform import (
     MAX_CONDITION_VARS, AssignmentReport, ConditionalInterface, ConditionLiteral,
     RefinementSpec, RenameMap, annihilate, closed_under_all_assignments, conditional_sum,
@@ -17,7 +23,7 @@ from ftig.transform import (
 )
 
 from conftest import (
-    interfaces, outcome, random_interface, random_monoid_interface, sum_parts,
+    COEFFS, interfaces, outcome, random_interface, random_monoid_interface, sum_parts,
 )
 
 
@@ -435,3 +441,134 @@ class TestAllAssignmentsOracle:
     def test_reduced_parts_equal_enumeration(self, cond):
         assert outcome(closed_under_all_assignments, cond) == \
             outcome(enumerated_closedness, cond)
+
+
+# ------------------------------------------------- homomorphism oracle
+
+# small pools, so that image terms meet: merges cancel and overflow,
+# hosts meet targets (self-loops), and motive atoms repeat
+ATOMS = st.sampled_from(("m", "n"))
+
+
+@st.composite
+def oracle_interfaces(draw, local=None, atomic=False):
+    """A small interface, local or global, with coefficients near ±2**63,
+    every reply constraint and (unless ``atomic``) composite motives."""
+    if local is None:
+        local = draw(st.booleans())
+    motives = st.tuples(ATOMS)
+    if not atomic:
+        motives = st.one_of(motives, st.lists(ATOMS, max_size=3))
+    gens = st.builds(
+        Generator,
+        target=st.sampled_from(("e1", "e2")),
+        action=st.sampled_from(("a", "b")),
+        motive=motives,
+        polarity=st.sampled_from(("service", "client")),
+        host=st.just(None) if local else st.sampled_from(("e1", "e2")),
+        alpha=st.sampled_from(ALPHAS),
+    )
+    return Interface(draw(st.dictionaries(gens, COEFFS, max_size=5)))
+
+
+def image_outcome(fn, *args):
+    """The value of ``fn(*args)`` with the terms and scope of its interface,
+    or the type and text of what it raised."""
+    try:
+        value = fn(*args)
+    except (OverflowError, ScopeError, ValueError) as exc:
+        return ("raised", type(exc), str(exc))
+    iface = value.canonical if isinstance(value, Residual) else value
+    return ("value", value, iface.terms, iface.scope)
+
+
+@st.composite
+def refinement_specs(draw):
+    coarse = draw(st.sampled_from(("e1", "e2")))
+    parts = draw(st.lists(st.sampled_from(("e1", "e2", "p", "q")), min_size=1, max_size=3,
+                          unique=True).filter(lambda ps: coarse not in ps))
+    return RefinementSpec(coarse, parts)
+
+
+RENAME_MAPS = st.builds(
+    RenameMap,
+    entity_map=st.dictionaries(st.sampled_from(("e1", "e2")), st.sampled_from(("e1", "e2", "z"))),
+    action_map=st.dictionaries(st.just("b"), st.sampled_from(("a", "c"))),
+    motive_map=st.dictionaries(st.sampled_from(("m", "n")), st.sampled_from(("m", "n", "k"))),
+)
+CATALOG_E1_E2 = Catalog()
+CATALOG_E1_E2.add_entity("e1")
+CATALOG_E1_E2.add_entity("e2")
+E1_TO_E2 = client("e2", "a", "m", host="e1")
+
+
+class TestInducedOracle:
+    """Each homomorphism built by ``algebra.induced`` equals the copy that
+    accumulated its own image terms (``old_homomorphisms``): the value, its
+    term order and scope, or the type and text of the first error."""
+
+    @given(entity=st.sampled_from(("e1", "e2", "p")), iface=oracle_interfaces(),
+           catalog=st.sampled_from((None, CATALOG_E1_E2)))
+    @example(entity="e1", iface=Interface.term(client("e2", "a", "m"), I64_MIN), catalog=None)
+    @settings(max_examples=300, deadline=None)
+    def test_globalize(self, entity, iface, catalog):
+        assert image_outcome(globalize, entity, iface, catalog) == \
+            image_outcome(old.globalize, entity, iface, catalog)
+
+    @given(iface=oracle_interfaces())
+    # a + a is twice a: the two images of 2**62 sum to 2**63
+    @example(iface=Interface.term(service("e2", "a", ("m", "m"), host="e1"), 2**62))
+    @example(iface=Interface([(service("e2", "a", ("m", "n")), I64_MAX),
+                              (service("e2", "a", "m"), -1)]))
+    @settings(max_examples=300, deadline=None)
+    def test_expand_motives(self, iface):
+        assert image_outcome(expand_motives, iface) == image_outcome(old.expand_motives, iface)
+
+    @given(iface=st.one_of(oracle_interfaces(atomic=True), oracle_interfaces()),
+           spec=refinement_specs())
+    # the coarse entity as both, as target only and as host only, then a
+    # non-atomic motive
+    @example(iface=Interface([(service("e1", "a", "m", host="e1"), 1),
+                              (service("e1", "a", "m", host="e2"), 2),
+                              (client("e2", "a", "m", host="e1"), 3),
+                              (service("e2", "b", ("m", "n"), host="e2"), 1)]),
+             spec=RefinementSpec("e1", ("p", "q")))
+    # a part that is an existing entity merges images until they overflow
+    @example(iface=Interface([(service("e1", "a", "m", host="e2"), I64_MAX),
+                              (service("e2", "a", "m", host="e2"), 1)]),
+             spec=RefinementSpec("e1", ("e2", "p")))
+    @settings(max_examples=300, deadline=None)
+    def test_refine(self, iface, spec):
+        assert image_outcome(refine, iface, spec) == image_outcome(old.refine, iface, spec)
+
+    @given(iface=oracle_interfaces(), mapping=RENAME_MAPS)
+    @example(iface=Interface([(service("e1", "a", "m", host="e2"), 1),
+                              (service("e2", "a", "m", host="e2"), -1)]),
+             mapping=RenameMap({"e1": "e2"}))
+    @example(iface=Interface([(service("e2", "a", "m"), I64_MAX),
+                              (service("e2", "a", "n"), 1)]),
+             mapping=RenameMap(motive_map={"n": "m"}))
+    @settings(max_examples=300, deadline=None)
+    def test_rename(self, iface, mapping):
+        assert image_outcome(rename, iface, mapping) == image_outcome(old.rename, iface, mapping)
+
+    @given(iface=oracle_interfaces(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_annihilate(self, iface, data):
+        # some generators of iface, and some drawn apart from it, mostly absent
+        kill = [g for g, _ in iface if data.draw(st.booleans())]
+        kill += [g for g, _ in data.draw(oracle_interfaces())]
+        assert image_outcome(annihilate, iface, kill) == \
+            image_outcome(old.annihilate, iface, kill)
+
+    @given(iface=oracle_interfaces())
+    # the client -> -partner rewrite of -2**63 overflows
+    @example(iface=Interface.term(E1_TO_E2, I64_MIN))
+    # a TF self-loop vanishes, a non-TF one stays
+    @example(iface=Interface([(service("e1", "a", "m", host="e1"), I64_MIN),
+                              (service("e1", "a", "m", host="e1", alpha="T"), I64_MAX),
+                              (E1_TO_E2, I64_MIN + 1)]))
+    @settings(max_examples=300, deadline=None)
+    def test_reduce_modulo_reflection(self, iface):
+        assert image_outcome(reduce_modulo_reflection, iface) == \
+            image_outcome(old.reduce_modulo_reflection, iface)
