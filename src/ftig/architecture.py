@@ -117,12 +117,16 @@ class ArchitectureReport(Record):
         if self.plain is not None:
             return self.plain.residual_lines()
         lines = []
+        shared = {}  # id of a report in the cases, which keep it alive -> its lines
         for assignment, rep in self.conditional.cases:
             if rep.closed:
                 continue
             label = ", ".join(f"{v}={'true' if b else 'false'}" for v, b in assignment)
             lines.append(f"under {label}:")
-            lines.extend("  " + line for line in rep.residual_lines())
+            body = shared.get(id(rep))
+            if body is None:
+                body = shared[id(rep)] = ["  " + line for line in rep.residual_lines()]
+            lines.extend(body)
         return lines
 
 

@@ -88,19 +88,21 @@ def _get_architecture(res, name) -> Architecture:
     return res.architectures[name]
 
 
-def _emit(args, doc: dict, text_lines: list[str]):
+def _emit(args, doc, lines):
+    """Write the JSON document ``doc()`` or the text ``lines()``, as ``--format``
+    asks; only the one written is built."""
     if args.format == "json":
-        sys.stdout.write(report.dumps(doc))
+        sys.stdout.write(report.dumps(doc()))
     else:
-        for line in text_lines:
+        for line in lines():
             print(line)
 
 
 def _emit_parts(args, command: str, key: str, parts, **fields) -> int:
     """Emit ``entity : rendered`` lines, or the same parts as JSON under ``key``."""
-    fields[key] = [{"entity": e, "rendered": i.render(), "terms": report.interface_terms(i)}
-                   for e, i in parts]
-    _emit(args, report.document(command, **fields), [f"{e} : {i.render()}" for e, i in parts])
+    fields[key] = (report.part_object(e, i) for e, i in parts)
+    _emit(args, lambda: report.document(command, **fields),
+          lambda: [f"{e} : {i.render()}" for e, i in parts])
     return 0
 
 
@@ -119,63 +121,54 @@ def _cmd_check(args) -> int:
             rep = check_closed(_get_architecture(res, directive.target), res.catalog)
             checks.append(rep)
             failed = failed or not rep.closed
-    doc = report.document(
+    _emit(args, lambda: report.document(
         "check",
         ok=res.ok,
-        checks=[{"kind": "closed", "architecture": c.architecture,
-                 "verdict": "closed" if c.closed else "not-closed"} for c in checks],
-        diagnostics=[report.diagnostic_object(d) for d in diags],
-    )
-    lines = [f"closed {c.architecture}: {'CLOSED' if c.closed else 'NOT CLOSED'}"
-             for c in checks]
-    lines.append("OK" if res.ok and not failed else "FAILED")
-    _emit(args, doc, lines)
+        checks=map(report.check_object, checks),
+        diagnostics=map(report.diagnostic_object, diags),
+    ), lambda: [
+        *(f"closed {c.architecture}: {'CLOSED' if c.closed else 'NOT CLOSED'}" for c in checks),
+        "OK" if res.ok and not failed else "FAILED",
+    ])
     if not res.ok:
         return 2
     return 1 if failed else 0
 
 
-def _closed_doc(rep) -> dict:
-    fields = {
-        "architecture": rep.architecture,
-        "verdict": "closed" if rep.closed else "not-closed",
-    }
+def _closed_doc(rep) -> str:
+    verdict = "closed" if rep.closed else "not-closed"
     if rep.plain is not None:
-        fields["residual"] = report.interface_terms(rep.plain.residual.canonical)
-        fields["non_cancellable"] = [report.generator_object(g)
-                                     for g in rep.plain.residual.non_cancellable]
-        fields["assignments"] = None
-    else:
-        fields["residual"] = []
-        fields["non_cancellable"] = []
-        fields["assignments"] = [
-            {
-                "assignment": {var: value for var, value in assignment},
-                "verdict": "closed" if case.closed else "not-closed",
-                "residual": report.interface_terms(case.residual.canonical),
-            }
-            for assignment, case in rep.conditional.cases
-        ]
-    return report.document("closed", **fields)
+        residual = rep.plain.residual
+        return report.document(
+            "closed", architecture=rep.architecture, verdict=verdict,
+            residual=report.interface_terms(residual.canonical),
+            non_cancellable=map(report.generator_object, residual.non_cancellable),
+            assignments=None,
+        )
+    return report.document(
+        "closed", architecture=rep.architecture, verdict=verdict, residual=(),
+        non_cancellable=(), assignments=report.assignment_cases(rep.conditional.cases),
+    )
+
+
+def _closed_lines(rep) -> list[str]:
+    lines = ["CLOSED" if rep.closed else "NOT CLOSED"]
+    if not rep.closed:
+        lines.extend("  " + line for line in rep.residual_lines())
+    return lines
 
 
 def _cmd_closed(args) -> int:
     res = _require_resolved(args)
     rep = check_closed(_get_architecture(res, args.architecture), res.catalog)
-    lines = ["CLOSED" if rep.closed else "NOT CLOSED"]
-    if not rep.closed:
-        lines.extend("  " + line for line in rep.residual_lines())
-    _emit(args, _closed_doc(rep), lines)
+    _emit(args, lambda: _closed_doc(rep), lambda: _closed_lines(rep))
     return 0 if rep.closed else 1
 
 
 def _conditional_doc(value: ConditionalInterface) -> dict:
     return {
         "unconditional": report.interface_terms(value.unconditional),
-        "branches": [
-            {"condition": lit.text(), "terms": report.interface_terms(iface)}
-            for lit, iface in value.branches
-        ],
+        "branches": (report.branch_object(lit, iface) for lit, iface in value.branches),
     }
 
 
@@ -193,30 +186,30 @@ def _cmd_normalize(args) -> int:
             raise CliError(str(exc)) from exc
         for gen in residual.non_cancellable:
             print(f"warning: non-cancellable element {gen.text()}", file=sys.stderr)
-        doc = report.document(
+        _emit(args, lambda: report.document(
             "normalize", interface=args.interface,
             rendered=residual.canonical.render(),
             terms=report.interface_terms(residual.canonical),
-            non_cancellable=[report.generator_object(g) for g in residual.non_cancellable],
-        )
-        _emit(args, doc, [residual.canonical.render()])
+            non_cancellable=map(report.generator_object, residual.non_cancellable),
+        ), lambda: [residual.canonical.render()])
         return 0
     if value.is_plain:
         iface = value.unconditional
-        doc = report.document("normalize", interface=args.interface,
-                              rendered=iface.render(), terms=report.interface_terms(iface))
-        _emit(args, doc, [iface.render()])
+        _emit(args, lambda: report.document("normalize", interface=args.interface,
+                                            rendered=iface.render(),
+                                            terms=report.interface_terms(iface)),
+              lambda: [iface.render()])
     else:
-        doc = report.document("normalize", interface=args.interface,
-                              rendered=value.render(), **_conditional_doc(value))
-        _emit(args, doc, [value.render()])
+        _emit(args, lambda: report.document("normalize", interface=args.interface,
+                                            rendered=value.render(), **_conditional_doc(value)),
+              lambda: [value.render()])
     return 0
 
 
 def _render_result(args, command: str, iface: Interface, **extra) -> int:
-    doc = report.document(command, rendered=iface.render(),
-                          terms=report.interface_terms(iface), **extra)
-    _emit(args, doc, [iface.render()])
+    _emit(args, lambda: report.document(command, rendered=iface.render(),
+                                        terms=report.interface_terms(iface), **extra),
+          lambda: [iface.render()])
     return 0
 
 
@@ -259,7 +252,8 @@ def _cmd_refine(args) -> int:
         iface = refine(expand_motives(_get_plain(res, args.interface)), spec)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    return _render_result(args, "refine", iface, entity=args.entity, into=list(parts))
+    return _render_result(args, "refine", iface, entity=args.entity,
+                          into=map(report.string, parts))
 
 
 def _read_rename_map(path: str) -> RenameMap:
@@ -294,16 +288,6 @@ def _cmd_diff(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     return _emit_parts(args, "diff", "deltas", deltas, a=args.a, b=args.b)
-
-
-def _violation_object(v) -> dict:
-    return {
-        "event": v.index,
-        "kind": v.kind,
-        "side": v.side,
-        "entity": v.entity,
-        "candidates": [report.generator_object(g) for g in v.candidates],
-    }
 
 
 def _violation_text(v) -> str:
@@ -367,15 +351,15 @@ def _cmd_comply(args) -> int:
         raise CliError(str(exc)) from exc
     for warning in rep.warnings:
         print(f"warning: {_violation_text(warning)}", file=sys.stderr)
-    lines = ["COMPLIANT" if rep.complies else "NOT COMPLIANT"]
-    lines.extend(f"  {_violation_text(v)}" for v in rep.violations)
-    doc = report.document(
+    _emit(args, lambda: report.document(
         "comply", architecture=args.architecture, log=args.log,
         verdict="compliant" if rep.complies else "violations",
-        violations=[_violation_object(v) for v in rep.violations],
-        warnings=[_violation_object(v) for v in rep.warnings],
-    )
-    _emit(args, doc, lines)
+        violations=map(report.violation_object, rep.violations),
+        warnings=map(report.violation_object, rep.warnings),
+    ), lambda: [
+        "COMPLIANT" if rep.complies else "NOT COMPLIANT",
+        *(f"  {_violation_text(v)}" for v in rep.violations),
+    ])
     return 0 if rep.complies else 1
 
 

@@ -1,53 +1,174 @@
 """Machine-readable (JSON) report documents with a stable field layout.
 
-Every document carries ``"schema": 1``; field insertion order is fixed so
-identical inputs serialize byte-identically.
+Every document carries ``"schema": 1``; the field order is fixed, so
+identical inputs give identical bytes.  Each shape has one template that
+returns its JSON text, laid out as ``json.dumps(obj, indent=2)`` lays out
+the equivalent object: two spaces per level, ``","`` and ``": "`` as
+separators, ``[]`` and ``{}`` when empty, and every non-ASCII character
+escaped as ``\\uXXXX``.
+
+``depth`` is the nesting level of the line that closes the value.  An
+element of an array field of the document is at depth 2, so that is the
+default of the element templates.
 """
 
 from __future__ import annotations
 
-import json
+from functools import lru_cache
+
+# the C escaper that json.dumps itself calls when ensure_ascii is set
+from _json import encode_basestring_ascii as string
 
 from .algebra import Generator, Interface
 
 SCHEMA_VERSION = 1
 
-
-def generator_object(gen: Generator) -> dict:
-    return {
-        "host": gen.host,
-        "polarity": gen.polarity,
-        "target": gen.target,
-        "action": gen.action,
-        "motive": list(gen.motive),
-        "alpha": gen.alpha,
-    }
+_GENERATOR_KEYS = ("host", "polarity", "target", "action", "motive", "alpha")
+_TERM_KEYS = (*_GENERATOR_KEYS, "coefficient")
+_CASE_KEYS = ("assignment", "verdict", "residual")
 
 
-def term_object(gen: Generator, coefficient: int) -> dict:
-    obj = generator_object(gen)
-    obj["coefficient"] = coefficient
-    return obj
+def _newline(depth: int) -> str:
+    return "\n" + "  " * depth
 
 
-def interface_terms(iface: Interface) -> list[dict]:
-    return [term_object(g, c) for g, c in iface]
+@lru_cache(maxsize=64)
+def _layout(keys: tuple[str, ...], depth: int) -> str:
+    """``%``-template of an object with ``keys``: one ``%s`` per value text."""
+    return ("{" + _newline(depth + 1)
+            + ("," + _newline(depth + 1)).join(string(key) + ": %s" for key in keys)
+            + _newline(depth) + "}")
 
 
-def diagnostic_object(diag) -> dict:
-    obj = {"severity": diag.severity, "message": diag.message}
+def _object(fields, depth: int) -> str:
+    """An object from (key, value text) pairs, the values laid out at ``depth + 1``."""
+    sep = _newline(depth + 1)
+    body = ("," + sep).join(string(key) + ": " + text for key, text in fields)
+    return f"{{{sep}{body}{_newline(depth)}}}" if body else "{}"
+
+
+def _array(items, depth: int) -> str:
+    """An array of element texts laid out at ``depth + 1``."""
+    sep = _newline(depth + 1)
+    body = ("," + sep).join(items)
+    return f"[{sep}{body}{_newline(depth)}]" if body else "[]"
+
+
+def _scalar(value) -> str:
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return string(value)
+    return int.__repr__(value)
+
+
+def _verdict(closed: bool) -> str:
+    return '"closed"' if closed else '"not-closed"'
+
+
+def _generator_values(gen: Generator, depth: int) -> tuple[str, ...]:
+    return ("null" if gen.host is None else string(gen.host), string(gen.polarity),
+            string(gen.target), string(gen.action),
+            _array(map(string, gen.motive), depth + 1), string(gen.alpha))
+
+
+def generator_object(gen: Generator, depth: int = 2) -> str:
+    return _layout(_GENERATOR_KEYS, depth) % _generator_values(gen, depth)
+
+
+def term_object(gen: Generator, coefficient: int, depth: int = 2) -> str:
+    return _layout(_TERM_KEYS, depth) % (*_generator_values(gen, depth),
+                                         int.__repr__(coefficient))
+
+
+def interface_terms(iface: Interface, depth: int = 2) -> list[str]:
+    """The term objects of ``iface``, each at ``depth``."""
+    layout = _layout(_TERM_KEYS, depth)
+    return [layout % (*_generator_values(g, depth), int.__repr__(c)) for g, c in iface]
+
+
+def diagnostic_object(diag, depth: int = 2) -> str:
+    fields = [("severity", string(diag.severity)), ("message", string(diag.message))]
     if diag.pos is not None:
-        obj["file"] = diag.pos.file
-        obj["line"] = diag.pos.line
-        obj["col"] = diag.pos.col
-    return obj
+        fields += [("file", _scalar(diag.pos.file)), ("line", _scalar(diag.pos.line)),
+                   ("col", _scalar(diag.pos.col))]
+    return _object(fields, depth)
 
 
-def document(command: str, **fields) -> dict:
-    doc = {"schema": SCHEMA_VERSION, "command": command}
-    doc.update(fields)
-    return doc
+def violation_object(v, depth: int = 2) -> str:
+    return _object((
+        ("event", _scalar(v.index)),
+        ("kind", string(v.kind)),
+        ("side", string(v.side)),
+        ("entity", string(v.entity)),
+        ("candidates", _array([generator_object(g, depth + 2) for g in v.candidates],
+                              depth + 1)),
+    ), depth)
 
 
-def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+def check_object(rep, depth: int = 2) -> str:
+    """One ``check`` directive's verdict on an architecture."""
+    return _object((("kind", '"closed"'), ("architecture", string(rep.architecture)),
+                    ("verdict", _verdict(rep.closed))), depth)
+
+
+def part_object(entity: str, iface: Interface, depth: int = 2) -> str:
+    """One entity's part of a decomposition or a diff."""
+    return _object((
+        ("entity", string(entity)), ("rendered", string(iface.render())),
+        ("terms", _array(interface_terms(iface, depth + 2), depth + 1)),
+    ), depth)
+
+
+def branch_object(lit, iface: Interface, depth: int = 2) -> str:
+    """One guarded branch of a conditional interface."""
+    return _object((
+        ("condition", string(lit.text())),
+        ("terms", _array(interface_terms(iface, depth + 2), depth + 1)),
+    ), depth)
+
+
+def assignment_cases(cases, depth: int = 2):
+    """The case objects of a conditional check, one per assignment, in order.
+
+    ``cases`` is the sequence of (assignment, report) pairs of an
+    ``AssignmentReport``.  Cases that share one ``ClosednessReport`` share
+    its rendered verdict and residual.
+    """
+    layout = _layout(_CASE_KEYS, depth)
+    start, sep, end = "{" + _newline(depth + 2), "," + _newline(depth + 2), _newline(depth + 1) + "}"
+    items = {item for assignment, _ in cases for item in assignment}
+    entries = {item: string(item[0]) + (": true" if item[1] else ": false") for item in items}
+    shared = {}  # id of a report in ``cases``, which keeps it alive -> its texts
+    for assignment, rep in cases:
+        texts = shared.get(id(rep))
+        if texts is None:
+            texts = shared[id(rep)] = (
+                _verdict(rep.closed),
+                _array(interface_terms(rep.residual.canonical, depth + 2), depth + 1),
+            )
+        body = sep.join(map(entries.__getitem__, assignment))
+        yield layout % (start + body + end if body else "{}", *texts)
+
+
+def document(command: str, **fields) -> str:
+    """The document: ``schema``, ``command``, then ``fields`` in order.
+
+    A field is ``None``, a bool, an int, a str, or else an iterable of
+    element texts at depth 2, written as an array.
+    """
+    return _object((
+        ("schema", int.__repr__(SCHEMA_VERSION)),
+        ("command", string(command)),
+        *((key, _scalar(value) if value is None or isinstance(value, (bool, int, str))
+           else _array(value, 1)) for key, value in fields.items()),
+    ), 0)
+
+
+def dumps(doc: str) -> str:
+    """The text written to stdout for ``doc``."""
+    return doc + "\n"

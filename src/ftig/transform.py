@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
+from operator import getitem
 
 from .algebra import (
     GLOBAL, I64_MAX, LOCAL, Generator, Interface, RunningSum, induced, interface_sum,
@@ -292,31 +293,42 @@ def closed_under_all_assignments(cond: ConditionalInterface) -> AssignmentReport
 
     The residual under an assignment is the reduced unconditional part plus
     the reduced branches whose literal the assignment satisfies, so each
-    part is reduced once and each assignment costs one sum.  Assignments
-    run in ``itertools.product`` order, ``False`` first.
+    part is reduced once, and assignments that select the same nonzero
+    reduced branches share one sum and one report.  Assignments run in
+    ``itertools.product`` order, ``False`` first.
     """
     variables = cond.variables()
     if len(variables) > MAX_CONDITION_VARS:
         raise CapacityError(
             f"{len(variables)} condition variables exceed the limit of {MAX_CONDITION_VARS}"
         )
-    assignments = [dict(zip(variables, values))
-                   for values in itertools.product((False, True), repeat=len(variables))]
+    rows = list(itertools.product((False, True), repeat=len(variables)))
     magnitude = sum(abs(c) for part in (cond.unconditional, *(i for _, i in cond.branches))
                     for _, c in part)
     # reducing first could hide an evaluation's overflow or local scope: evaluate those
     if cond.scope == LOCAL or magnitude > I64_MAX:
-        reports = [is_closed(eval_conditional(cond, a)) for a in assignments]
+        reports = [is_closed(eval_conditional(cond, dict(zip(variables, values))))
+                   for values in rows]
     else:
         base = reduce_modulo_reflection(cond.unconditional).canonical
         reduced = [(lit, reduce_modulo_reflection(iface).canonical)
                    for lit, iface in cond.branches]
         reduced = [(lit, r) for lit, r in reduced if r]  # branches in the kernel add nothing
-        reports = [
-            ClosednessReport.of(Residual.of(interface_sum(
-                (base, *(r for lit, r in reduced if lit.satisfied_by(a)))
-            )))
-            for a in assignments
-        ]
-    cases = tuple((tuple(sorted(a.items())), rep) for a, rep in zip(assignments, reports))
+        column = {var: i for i, var in enumerate(variables)}
+        guards = [(column[lit.variable], lit.negated) for lit, _ in reduced]
+        # assignments that select the same reduced branches share one report
+        distinct: dict[tuple[int, ...], ClosednessReport] = {}
+        reports = []
+        for values in rows:
+            selected = tuple(i for i, (j, negated) in enumerate(guards) if values[j] != negated)
+            rep = distinct.get(selected)
+            if rep is None:
+                rep = distinct[selected] = ClosednessReport.of(Residual.of(interface_sum(
+                    (base, *(reduced[i][1] for i in selected))
+                )))
+            reports.append(rep)
+    # ``variables`` is sorted, so a row's (variable, value) pairs in column order are its
+    # assignment's sorted items; the cases share one tuple per pair
+    pairs = [((var, False), (var, True)) for var in variables]
+    cases = tuple((tuple(map(getitem, pairs, values)), rep) for values, rep in zip(rows, reports))
     return AssignmentReport(all(rep.closed for _, rep in cases), cases)

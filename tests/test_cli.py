@@ -497,7 +497,7 @@ class TestExitCodes:
 
 class TestColdStart:
     # modules that start-up must not import: each costs milliseconds on every run
-    UNWANTED = ("dataclasses", "inspect", "typing", "pathlib")
+    UNWANTED = ("dataclasses", "inspect", "typing", "pathlib", "json")
 
     def test_cli_import_loads_no_heavy_modules(self):
         # -S keeps the interpreter's site hooks, which may import anything, out of the check
