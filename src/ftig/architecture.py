@@ -117,16 +117,12 @@ class ArchitectureReport(Record):
         if self.plain is not None:
             return self.plain.residual_lines()
         lines = []
-        shared = {}  # id of a report in the cases, which keep it alive -> its lines
         for assignment, rep in self.conditional.cases:
             if rep.closed:
                 continue
             label = ", ".join(f"{v}={'true' if b else 'false'}" for v, b in assignment)
             lines.append(f"under {label}:")
-            body = shared.get(id(rep))
-            if body is None:
-                body = shared[id(rep)] = ["  " + line for line in rep.residual_lines()]
-            lines.extend(body)
+            lines.extend("  " + line for line in rep.residual_lines())
         return lines
 
 

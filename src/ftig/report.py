@@ -26,6 +26,12 @@ SCHEMA_VERSION = 1
 _GENERATOR_KEYS = ("host", "polarity", "target", "action", "motive", "alpha")
 _TERM_KEYS = (*_GENERATOR_KEYS, "coefficient")
 _CASE_KEYS = ("assignment", "verdict", "residual")
+_DIAGNOSTIC_KEYS = ("severity", "message")
+_POSITIONED_KEYS = (*_DIAGNOSTIC_KEYS, "file", "line", "col")
+_VIOLATION_KEYS = ("event", "kind", "side", "entity", "candidates")
+_CHECK_KEYS = ("kind", "architecture", "verdict")
+_PART_KEYS = ("entity", "rendered", "terms")
+_BRANCH_KEYS = ("condition", "terms")
 
 
 def _newline(depth: int) -> str:
@@ -34,17 +40,12 @@ def _newline(depth: int) -> str:
 
 @lru_cache(maxsize=64)
 def _layout(keys: tuple[str, ...], depth: int) -> str:
-    """``%``-template of an object with ``keys``: one ``%s`` per value text."""
+    """``%``-template of an object with ``keys`` (one or more): one ``%s`` per
+    value text, the values laid out at ``depth + 1``."""
     return ("{" + _newline(depth + 1)
-            + ("," + _newline(depth + 1)).join(string(key) + ": %s" for key in keys)
+            + ("," + _newline(depth + 1)).join(string(key).replace("%", "%%") + ": %s"
+                                               for key in keys)
             + _newline(depth) + "}")
-
-
-def _object(fields, depth: int) -> str:
-    """An object from (key, value text) pairs, the values laid out at ``depth + 1``."""
-    sep = _newline(depth + 1)
-    body = ("," + sep).join(string(key) + ": " + text for key, text in fields)
-    return f"{{{sep}{body}{_newline(depth)}}}" if body else "{}"
 
 
 def _array(items, depth: int) -> str:
@@ -92,44 +93,39 @@ def interface_terms(iface: Interface, depth: int = 2) -> list[str]:
 
 
 def diagnostic_object(diag, depth: int = 2) -> str:
-    fields = [("severity", string(diag.severity)), ("message", string(diag.message))]
-    if diag.pos is not None:
-        fields += [("file", _scalar(diag.pos.file)), ("line", _scalar(diag.pos.line)),
-                   ("col", _scalar(diag.pos.col))]
-    return _object(fields, depth)
+    values = (string(diag.severity), string(diag.message))
+    pos = diag.pos
+    if pos is None:
+        return _layout(_DIAGNOSTIC_KEYS, depth) % values
+    return _layout(_POSITIONED_KEYS, depth) % (
+        *values, _scalar(pos.file), _scalar(pos.line), _scalar(pos.col))
 
 
 def violation_object(v, depth: int = 2) -> str:
-    return _object((
-        ("event", _scalar(v.index)),
-        ("kind", string(v.kind)),
-        ("side", string(v.side)),
-        ("entity", string(v.entity)),
-        ("candidates", _array([generator_object(g, depth + 2) for g in v.candidates],
-                              depth + 1)),
-    ), depth)
+    return _layout(_VIOLATION_KEYS, depth) % (
+        _scalar(v.index), string(v.kind), string(v.side), string(v.entity),
+        _array([generator_object(g, depth + 2) for g in v.candidates], depth + 1),
+    )
 
 
 def check_object(rep, depth: int = 2) -> str:
     """One ``check`` directive's verdict on an architecture."""
-    return _object((("kind", '"closed"'), ("architecture", string(rep.architecture)),
-                    ("verdict", _verdict(rep.closed))), depth)
+    return _layout(_CHECK_KEYS, depth) % (
+        '"closed"', string(rep.architecture), _verdict(rep.closed))
 
 
 def part_object(entity: str, iface: Interface, depth: int = 2) -> str:
     """One entity's part of a decomposition or a diff."""
-    return _object((
-        ("entity", string(entity)), ("rendered", string(iface.render())),
-        ("terms", _array(interface_terms(iface, depth + 2), depth + 1)),
-    ), depth)
+    return _layout(_PART_KEYS, depth) % (
+        string(entity), string(iface.render()),
+        _array(interface_terms(iface, depth + 2), depth + 1),
+    )
 
 
 def branch_object(lit, iface: Interface, depth: int = 2) -> str:
     """One guarded branch of a conditional interface."""
-    return _object((
-        ("condition", string(lit.text())),
-        ("terms", _array(interface_terms(iface, depth + 2), depth + 1)),
-    ), depth)
+    return _layout(_BRANCH_KEYS, depth) % (
+        string(lit.text()), _array(interface_terms(iface, depth + 2), depth + 1))
 
 
 def assignment_cases(cases, depth: int = 2):
@@ -161,12 +157,11 @@ def document(command: str, **fields) -> str:
     A field is ``None``, a bool, an int, a str, or else an iterable of
     element texts at depth 2, written as an array.
     """
-    return _object((
-        ("schema", int.__repr__(SCHEMA_VERSION)),
-        ("command", string(command)),
-        *((key, _scalar(value) if value is None or isinstance(value, (bool, int, str))
-           else _array(value, 1)) for key, value in fields.items()),
-    ), 0)
+    return _layout(("schema", "command", *fields), 0) % (
+        int.__repr__(SCHEMA_VERSION), string(command),
+        *(_scalar(value) if value is None or isinstance(value, (bool, int, str))
+          else _array(value, 1) for value in fields.values()),
+    )
 
 
 def dumps(doc: str) -> str:

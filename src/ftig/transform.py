@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
-from operator import getitem
 
 from .algebra import (
     GLOBAL, I64_MAX, LOCAL, Generator, Interface, RunningSum, induced, interface_sum,
@@ -327,8 +326,5 @@ def closed_under_all_assignments(cond: ConditionalInterface) -> AssignmentReport
                     (base, *(reduced[i][1] for i in selected))
                 )))
             reports.append(rep)
-    # ``variables`` is sorted, so a row's (variable, value) pairs in column order are its
-    # assignment's sorted items; the cases share one tuple per pair
-    pairs = [((var, False), (var, True)) for var in variables]
-    cases = tuple((tuple(map(getitem, pairs, values)), rep) for values, rep in zip(rows, reports))
+    cases = tuple((tuple(zip(variables, values)), rep) for values, rep in zip(rows, reports))
     return AssignmentReport(all(rep.closed for _, rep in cases), cases)

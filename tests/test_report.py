@@ -195,10 +195,12 @@ class TestDocumentOracle:
 
 
 def test_cli_json_is_json_dumps_layout():
-    """Every JSON run of the acceptance corpus is laid out as json.dumps(indent=2)."""
-    runs = [argv for _, argv in CLI_RUNS if "json" in argv]
-    assert runs
-    for argv in runs:
-        out = subprocess.run([sys.executable, "-m", "ftig.cli", *argv], capture_output=True,
-                             cwd=FIXTURES, env=cli_env(NO_COLOR="1"), text=True).stdout
+    """Every run of the acceptance corpus, in JSON, is laid out as json.dumps(indent=2)."""
+    for code, argv in CLI_RUNS:
+        if "--format" not in argv:
+            argv = (*argv, "--format", "json")
+        proc = subprocess.run([sys.executable, "-m", "ftig.cli", *argv], capture_output=True,
+                              cwd=FIXTURES, env=cli_env(NO_COLOR="1"), text=True)
+        out = proc.stdout
+        assert proc.returncode == code, (argv, proc.stderr)
         assert out and json.dumps(json.loads(out), indent=2) + "\n" == out, argv
