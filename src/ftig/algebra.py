@@ -160,13 +160,13 @@ class Generator(Record):
 def service(target: str, action: str, motive: str | Iterable[str] = (), host: str | None = None,
             alpha: str = ALPHA_TF) -> Generator:
     """Outgoing transfer element: permission to issue ``action(motive)`` to ``target``."""
-    return Generator(target, action, as_motive(motive), SERVICE, host, alpha)
+    return Generator(target, action, motive, SERVICE, host, alpha)
 
 
 def client(target: str, action: str, motive: str | Iterable[str] = (), host: str | None = None,
            alpha: str = ALPHA_TF) -> Generator:
     """Incoming transfer element: permission to receive ``action(motive)`` from ``target``."""
-    return Generator(target, action, as_motive(motive), CLIENT, host, alpha)
+    return Generator(target, action, motive, CLIENT, host, alpha)
 
 
 def _accumulate(acc: dict[Generator, int], items: Iterable[tuple[Generator, int]]) -> None:

@@ -53,7 +53,7 @@ class Architecture:
                 raise ScopeError(f"member {entity} must hold a local interface")
             if entity in merged:
                 prev = merged[entity]
-                merged[entity] = ArchMember(entity, prev.interface + cond,
+                merged[entity] = ArchMember(entity, conditional_sum((prev.interface, cond)),
                                             prev.contained or contained)
             else:
                 merged[entity] = ArchMember(entity, cond, contained)
@@ -273,27 +273,19 @@ def comply_events(events, arch: Architecture, assignment=None) -> ComplianceRepo
                 f"event {index}: neither {ev.source} nor {ev.destination} "
                 f"is an architecture member"
             )
-        if ev.source in members:
-            iface = members[ev.source]
-            verdict = _match(coefficients[ev.source], SERVICE, ev.destination, ev.action,
-                             ev.motive, ev.reply)
+        for side, member, polarity, peer in (("outgoing", ev.source, SERVICE, ev.destination),
+                                             ("incoming", ev.destination, CLIENT, ev.source)):
+            if member not in members:
+                continue
+            verdict = _match(coefficients[member], polarity, peer, ev.action, ev.motive,
+                             ev.reply)
             if verdict == "reply-forbidden":
-                violations.append(Violation(index, "reply-forbidden", "outgoing", ev.source))
+                violations.append(Violation(index, "reply-forbidden", side, member))
             elif verdict == "unmatched":
-                violations.append(Violation(
-                    index, "unmatched-outgoing", "outgoing", ev.source,
-                    _candidates(iface, SERVICE, ev.destination, ev.action, ev.motive)))
-        if ev.destination in members:
-            iface = members[ev.destination]
-            verdict = _match(coefficients[ev.destination], CLIENT, ev.source, ev.action,
-                             ev.motive, ev.reply)
-            if verdict == "reply-forbidden":
-                violations.append(Violation(index, "reply-forbidden", "incoming", ev.destination))
-            elif verdict == "unmatched":
-                hit = Violation(
-                    index, "unmatched-incoming", "incoming", ev.destination,
-                    _candidates(iface, CLIENT, ev.source, ev.action, ev.motive))
-                if contained.get(ev.destination):
+                hit = Violation(index, f"unmatched-{side}", side, member,
+                                _candidates(members[member], polarity, peer, ev.action,
+                                            ev.motive))
+                if side == "outgoing" or contained[member]:
                     violations.append(hit)
                 else:
                     warnings.append(hit)

@@ -40,24 +40,26 @@ class Catalog(Record):
             raise ValueError(f"parent entity {parent} not declared before {name}")
         self.entities[name] = EntityDecl(name, parent, extern)
 
-    def add_action(self, name: str, extern: bool = False):
+    def add_name(self, kind: str, name: str, extern: bool = False):
+        """Declare ``name`` in the table of ``kind``: an entity without a
+        parent, an action, a motive, or a condition (which has no extern flag)."""
+        if kind == "entity":
+            self.add_entity(name, extern=extern)
+            return
+        table = self.tables()[kind]
         if not name:
-            raise ValueError("empty action name")
-        if name in self.actions:
-            raise ValueError(f"duplicate action declaration: {name}")
-        self.actions[name] = extern
+            raise ValueError(f"empty {kind} name")
+        if name in table:
+            raise ValueError(f"duplicate {kind} declaration: {name}")
+        if kind == "condition":
+            table.add(name)
+        else:
+            table[name] = extern
 
-    def add_motive(self, name: str, extern: bool = False):
-        if not name:
-            raise ValueError("empty motive name")
-        if name in self.motives:
-            raise ValueError(f"duplicate motive declaration: {name}")
-        self.motives[name] = extern
-
-    def add_condition(self, name: str):
-        if name in self.condition_vars:
-            raise ValueError(f"duplicate condition declaration: {name}")
-        self.condition_vars.add(name)
+    def tables(self) -> dict[str, dict | set]:
+        """The declared names of each kind, keyed by kind."""
+        return {"entity": self.entities, "action": self.actions, "motive": self.motives,
+                "condition": self.condition_vars}
 
     def has_entity(self, name: str) -> bool:
         return name in self.entities

@@ -309,9 +309,7 @@ def _report_undeclared(unknown, allow_undeclared: bool):
 
 
 def _check_event_names(events, res, allow_undeclared: bool):
-    catalog = res.catalog
-    tables = {"entity": catalog.entities, "action": catalog.actions,
-              "motive": catalog.motives}
+    tables = res.catalog.tables()
     unknown = []
     for index, ev in enumerate(events):
         for kind, name in (("entity", ev.source), ("entity", ev.destination),

@@ -20,9 +20,9 @@ from ..transform import (
     conditional_sum, expand_motives, refine, rename,
 )
 from .astnodes import (
-    ActionItem, ArchitectureDef, CheckDirective, CondExpr, ConditionItem,
-    EntityItem, GenExpr, InterfaceDef, MotiveItem, NegExpr, ParenExpr,
-    RefExpr, RefineDef, RenameDef, ScaleExpr, SpecModule, SumExpr, ZeroExpr,
+    ActionItem, CheckDirective, CondExpr, ConditionItem, EntityItem, GenExpr,
+    MotiveItem, NegExpr, ParenExpr, RefExpr, RefineDef, RenameDef, ScaleExpr,
+    SpecModule, SumExpr, ZeroExpr,
 )
 from .parser import parse_expression
 
@@ -48,14 +48,15 @@ class Diagnostic(Record):
 
 class Resolution(Record):
     __slots__ = ("module", "catalog", "interfaces", "architectures", "monoid_names",
-                 "diagnostics")
+                 "diagnostics", "looked_up")
     __hash__ = None
 
     def __init__(self, module: SpecModule, catalog: Catalog,
                  interfaces: dict[str, object] | None = None,
                  architectures: dict[str, Architecture] | None = None,
                  monoid_names: set[str] | None = None,
-                 diagnostics: list[Diagnostic] | None = None):
+                 diagnostics: list[Diagnostic] | None = None,
+                 looked_up: dict[str, set[str]] | None = None):
         self.module = module
         self.catalog = catalog
         # name -> Interface, or ConditionalInterface when a branch survives
@@ -63,6 +64,8 @@ class Resolution(Record):
         self.architectures = {} if architectures is None else architectures
         self.monoid_names = set() if monoid_names is None else monoid_names
         self.diagnostics = [] if diagnostics is None else diagnostics
+        # kind -> every name of that kind that evaluation looked up
+        self.looked_up = {} if looked_up is None else looked_up
 
     @property
     def errors(self) -> list[Diagnostic]:
@@ -83,6 +86,8 @@ class Resolution(Record):
 class _Evaluator:
     def __init__(self, module: SpecModule, catalog: Catalog, allow_undeclared: bool):
         self.catalog = catalog
+        self.tables = catalog.tables()
+        self.looked_up: dict[str, set[str]] = {kind: set() for kind in self.tables}
         self.allow_undeclared = allow_undeclared
         self.diagnostics: list[Diagnostic] = []
         self.defs: dict[str, object] = {}
@@ -105,32 +110,16 @@ class _Evaluator:
     # ------------------------------------------------------------ names
 
     def _check_name(self, kind: str, name: str, pos) -> None:
-        if kind == "entity":
-            known = self.catalog.has_entity(name)
-        elif kind == "action":
-            known = name in self.catalog.actions
-        elif kind == "motive":
-            known = name in self.catalog.motives
-        else:
-            known = name in self.catalog.condition_vars
-        if known:
+        self.looked_up[kind].add(name)
+        if name in self.tables[kind]:
             return
         if self.allow_undeclared:
-            if (kind, name) not in self.reported_undeclared:
-                self.reported_undeclared.add((kind, name))
-                self.warning(f"undeclared {kind} {name} treated as extern", pos)
-            if kind == "entity":
-                self.catalog.add_entity(name, extern=True)
-            elif kind == "action":
-                self.catalog.add_action(name, extern=True)
-            elif kind == "motive":
-                self.catalog.add_motive(name, extern=True)
-            else:
-                self.catalog.add_condition(name)
-        else:
-            if (kind, name) not in self.reported_undeclared:
-                self.reported_undeclared.add((kind, name))
-                self.error(f"undeclared {kind}: {name}", pos)
+            # declared here, so a name is reported once
+            self.warning(f"undeclared {kind} {name} treated as extern", pos)
+            self.catalog.add_name(kind, name, extern=True)
+        elif (kind, name) not in self.reported_undeclared:
+            self.reported_undeclared.add((kind, name))
+            self.error(f"undeclared {kind}: {name}", pos)
 
     # ------------------------------------------------------- evaluation
 
@@ -186,12 +175,10 @@ class _Evaluator:
 
     def _eval_rename(self, item: RenameDef) -> Interface:
         source = self._plain_source(item)
-        catalogs = {"entity": self.catalog.entities, "action": self.catalog.actions,
-                    "motive": self.catalog.motives}
         for kind, pairs in (("entity", item.entity_map), ("action", item.action_map),
                             ("motive", item.motive_map)):
             for old, new in pairs:
-                if old not in catalogs[kind]:
+                if old not in self.tables[kind]:
                     self.warning(f"rename of undeclared {kind} {old} has no effect", item.pos)
                 self._check_name(kind, new, item.pos)
         mapping = RenameMap(dict(item.entity_map), dict(item.action_map),
@@ -287,11 +274,11 @@ def build_catalog(module: SpecModule) -> tuple[Catalog, list[Diagnostic]]:
             if isinstance(item, EntityItem):
                 _declare_entities(item, None, catalog, diags)
             elif isinstance(item, ActionItem):
-                catalog.add_action(item.name, item.extern)
+                catalog.add_name("action", item.name, item.extern)
             elif isinstance(item, MotiveItem):
-                catalog.add_motive(item.name, item.extern)
+                catalog.add_name("motive", item.name, item.extern)
             elif isinstance(item, ConditionItem):
-                catalog.add_condition(item.name)
+                catalog.add_name("condition", item.name)
         except ValueError as exc:
             diags.append(Diagnostic("error", str(exc), item.pos))
     return catalog, diags
@@ -303,7 +290,7 @@ def resolve(module: SpecModule, allow_undeclared: bool = False) -> Resolution:
     for name in evaluator.defs:
         evaluator.resolve_name(name, evaluator.defs[name].pos)
 
-    res = Resolution(module, catalog)
+    res = Resolution(module, catalog, looked_up=evaluator.looked_up)
     res.diagnostics.extend(diags)
     res.interfaces.update(evaluator.values)
     for item in module.interface_defs():
@@ -358,57 +345,31 @@ def resolve(module: SpecModule, allow_undeclared: bool = False) -> Resolution:
 
 # ----------------------------------------------------------------- lint
 
-def _walk_exprs(node, into):
-    into.append(node)
-    for attr in ("inner", "then", "otherwise"):
-        child = getattr(node, attr, None)
-        if child is not None:
-            _walk_exprs(child, into)
-    if isinstance(node, SumExpr):
-        for _, part in node.parts:
-            _walk_exprs(part, into)
-
-
 def lint(res: Resolution) -> list[Diagnostic]:
-    """Style and suspicion warnings on a resolved module (never errors)."""
+    """Style and suspicion warnings on a resolved module (never errors).
+
+    A declared name is unused when no expression, refinement or renaming
+    names it.  Names in expressions are those evaluation looked up
+    (``Resolution.looked_up``), so when resolution has errors, a name that
+    appears only where evaluation stopped, such as a duplicate definition's
+    body or the rest of an expression after an error, counts as unused.
+    """
     diags: list[Diagnostic] = []
 
-    used_entities: set[str] = set()
-    used_actions: set[str] = set()
-    used_motives: set[str] = set()
-    used_conditions: set[str] = set()
-    exprs = []
+    used = {kind: set(res.looked_up.get(kind, ())) for kind in res.catalog.tables()}
+    # refinement parts and the names a renaming replaces are never looked up
     for item in res.module.items:
-        if isinstance(item, InterfaceDef):
-            _walk_exprs(item.expr, exprs)
-        elif isinstance(item, ArchitectureDef):
-            for member in item.members:
-                used_entities.add(member.entity)
-                _walk_exprs(member.expr, exprs)
-        elif isinstance(item, RefineDef):
-            used_entities.add(item.coarse)
-            used_entities.update(item.parts)
+        if isinstance(item, RefineDef):
+            used["entity"].update(item.parts)
         elif isinstance(item, RenameDef):
-            for old, new in item.entity_map:
-                used_entities.update((old, new))
-            for old, new in item.action_map:
-                used_actions.update((old, new))
-            for old, new in item.motive_map:
-                used_motives.update((old, new))
-    for node in exprs:
-        if isinstance(node, GenExpr):
-            used_entities.add(node.target)
-            if node.host is not None:
-                used_entities.add(node.host)
-            used_actions.add(node.action)
-            used_motives.update(node.motive)
-        elif isinstance(node, CondExpr):
-            used_conditions.add(node.variable)
+            for kind, pairs in (("entity", item.entity_map), ("action", item.action_map),
+                                ("motive", item.motive_map)):
+                used[kind].update(old for old, _ in pairs)
 
     # ancestors of a used entity count as used (they exist to group it)
-    for name in list(used_entities):
+    for name in list(used["entity"]):
         if res.catalog.has_entity(name):
-            used_entities.update(res.catalog.entity_path(name))
+            used["entity"].update(res.catalog.entity_path(name))
 
     for item in res.module.interface_defs():
         value = res.interfaces.get(item.name)
@@ -449,15 +410,10 @@ def lint(res: Resolution) -> list[Diagnostic]:
                             f"architecture {arch.name}: member {member.entity} transfers "
                             f"to itself via {gen.text()}", arch.pos))
 
-    def unused(kind, names, used):
+    for kind, names in res.catalog.tables().items():
         for name in sorted(names):
-            if name not in used:
+            if name not in used[kind]:
                 diags.append(Diagnostic("warning", f"unused {kind}: {name}", None))
-
-    unused("entity", res.catalog.entities, used_entities)
-    unused("action", res.catalog.actions, used_actions)
-    unused("motive", res.catalog.motives, used_motives)
-    unused("condition", res.catalog.condition_vars, used_conditions)
     diags.sort(key=Diagnostic.sort_key)
     return diags
 

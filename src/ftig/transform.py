@@ -193,13 +193,6 @@ class ConditionalInterface:
     def variables(self) -> tuple[str, ...]:
         return tuple(sorted({lit.variable for lit, _ in self._branches}))
 
-    def __add__(self, other):
-        if isinstance(other, Interface):
-            other = ConditionalInterface(other)
-        if not isinstance(other, ConditionalInterface):
-            return NotImplemented
-        return conditional_sum((self, other))
-
     def __eq__(self, other):
         if not isinstance(other, ConditionalInterface):
             return NotImplemented

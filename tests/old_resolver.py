@@ -7,9 +7,11 @@ conditional machinery, kept as the oracle for
 ``_eval_signed`` and ``eval``) with the copies, and keeps its constructor,
 diagnostics and name checks.  ``resolve`` and ``evaluate_expression_text``
 are the copies that turned plain results back into ``Interface`` at the end.
-Only the imports and the evaluator's class name are changed, and ``resolve``
+Only the imports and the evaluator's class name are changed.  ``resolve``
 reports an overflow in merging an architecture's repeated listings as a
-diagnostic, as today's ``resolve`` does; the oracle is about evaluation.
+diagnostic, and hands the evaluator's record of looked-up names to its
+``Resolution`` for ``lint``, as today's ``resolve`` does; the oracle is
+about evaluation.
 """
 
 from __future__ import annotations
@@ -147,7 +149,7 @@ def resolve(module: SpecModule, allow_undeclared: bool = False) -> Resolution:
     for name in evaluator.defs:
         evaluator.resolve_name(name, evaluator.defs[name].pos)
 
-    res = Resolution(module, catalog)
+    res = Resolution(module, catalog, looked_up=evaluator.looked_up)
     res.diagnostics.extend(diags)
     for name, value in evaluator.values.items():
         res.interfaces[name] = value.unconditional if value.is_plain else value

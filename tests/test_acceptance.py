@@ -239,6 +239,8 @@ CLI_RUNS = (  # (expected exit code, argv)
     (0, ("check", "catalog.fti", "lfti_maeiis.fti", "closed_arch.fti")),
     (0, ("check", "two_entity.fti")),
     (0, ("check", "conditional.fti")),
+    (0, ("check", "--format", "json", "catalog.fti", "lfti_maeiis.fti", "closed_arch.fti")),
+    (0, ("check", "--format", "json", "--allow-undeclared", "lfti_maeiis.fti")),
     (0, ("closed", "TwoEntity", "two_entity.fti")),
     (1, ("closed", "Dangling", "two_entity.fti")),
     (0, ("closed", "CondPair", "conditional.fti")),
@@ -260,10 +262,13 @@ CLI_RUNS = (  # (expected exit code, argv)
     (1, ("comply", "--log", "log_bad.csv", "TwoEntity", "two_entity.fti")),
 )
 
-GOLDEN = {
-    ("normalize", "LFTI4MaEIis0"): "golden/lfti_maeiis0.json",
-    ("normalize", "LFTI4MaEIis1"): "golden/lfti_maeiis1.json",
-    ("normalize", "LFTI4MaEIis2"): "golden/lfti_maeiis2.json",
+GOLDEN = {  # argv -> the stdout it must print
+    **{("normalize", f"LFTI4MaEIis{n}", "--format", "json", "catalog.fti", "lfti_maeiis.fti"):
+       f"golden/lfti_maeiis{n}.json" for n in range(3)},
+    ("check", "--format", "json", "catalog.fti", "lfti_maeiis.fti", "closed_arch.fti"):
+        "golden/check_corpus.json",
+    ("check", "--format", "json", "--allow-undeclared", "lfti_maeiis.fti"):
+        "golden/check_lfti_maeiis_undeclared.json",
 }
 
 
@@ -274,6 +279,7 @@ def _run_cli(argv, hash_seed):
 
 
 def test_criterion_9_determinism_and_round_trip():
+    assert set(GOLDEN) <= {argv for _, argv in CLI_RUNS}
     for code, argv in CLI_RUNS:
         first = _run_cli(argv, hash_seed=1)
         second = _run_cli(argv, hash_seed=2)
@@ -283,9 +289,8 @@ def test_criterion_9_determinism_and_round_trip():
         assert first.stdout == second.stdout, argv
         assert first.stderr == second.stderr, argv
         assert first.returncode == second.returncode, argv
-        key = tuple(argv[:2])
-        if key in GOLDEN and "--format" in argv:
-            golden = (FIXTURES / GOLDEN[key]).read_bytes()
+        if argv in GOLDEN:
+            golden = (FIXTURES / GOLDEN[argv]).read_bytes()
             assert first.stdout == golden, f"golden drift for {argv}"
     # every resolved fixture interface survives a render/parse round trip
     for files in (("catalog.fti", "lfti_maeiis.fti"), ("two_entity.fti",),

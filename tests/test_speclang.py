@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import old_lint
 import old_resolver
 import old_speclang
 from conftest import FIXTURES
@@ -273,6 +275,128 @@ class TestResolverOracle:
         for allow_undeclared in (False, True):
             assert resolution_of(resolve, text, allow_undeclared) == \
                 resolution_of(old_resolver.resolve, text, allow_undeclared)
+
+
+# ------------------------------------------------------- lint oracle
+
+# entities e4 and n, action c, motives k and a, and condition m are never
+# used, and each but e4 and k shares its name with a name of another kind
+# that is; e3 is nested two deep, so p and q are used through it
+CLEAN_CATALOG = ("entity e1\nentity e2\nentity p { entity q { entity e3 } }\n"
+                 "entity e4\nextern entity n\naction a\naction b\nextern action c\n"
+                 "motive m\nmotive n\nextern motive k\nmotive a\n"
+                 "condition c\ncondition d\ncondition m\n")
+CLEAN_GENERATORS = {scope: st.sampled_from(tuple(
+    f"{tilde}{target}.{action}({motive}){host}{alpha}"
+    for tilde in ("", "~") for target in ("e1", "e2", "e3") for action in ("a", "b")
+    for motive in ("m", "n", "m + n", "0") for host in hosts for alpha in ("", "", "/T")))
+    for scope, hosts in (("local", ("",)), ("global", ("@e1", "@e2", "@e3")))}
+
+
+@st.composite
+def clean_expression(draw, scope, refs):
+    """The text of a sum in ``scope`` over generators and the plain
+    interfaces ``refs``, and whether it has a conditional element."""
+    def atom():
+        if refs and draw(st.booleans()):
+            return draw(st.sampled_from(refs))
+        return draw(CLEAN_GENERATORS[scope])
+
+    parts, conditional = [], False
+    for _ in range(draw(st.integers(1, 4))):
+        shape = draw(st.sampled_from(("atom", "atom", "scaled", "conditional", "group")))
+        if shape == "atom":
+            parts.append(atom())
+        elif shape == "scaled":
+            parts.append(f"{draw(st.sampled_from((0, 2, 3)))} x {atom()}")
+        elif shape == "conditional":
+            literal = draw(st.sampled_from(("c", "!c", "d")))
+            otherwise = atom() if draw(st.booleans()) else "0"
+            parts.append(f"({atom()} <| {literal} |> {otherwise})")
+            conditional = True
+        else:
+            parts.append(f"-({atom()} - {atom()})")
+    signs = [draw(st.sampled_from("+-")) for _ in parts[1:]]
+    return " ".join([parts[0], *(f"{sign} {part}" for sign, part in zip(signs, parts[1:]))]), \
+        conditional
+
+
+@st.composite
+def clean_module_text(draw):
+    """A module that resolves without errors: it declares every name it uses
+    and some it never uses, references only earlier plain interfaces of the
+    same scope, and scales by small factors only."""
+    lines = [CLEAN_CATALOG]
+    plain = {"local": [], "global": []}
+    for i in range(draw(st.integers(1, 4))):
+        scope = draw(st.sampled_from(("local", "global")))
+        expr, conditional = draw(clean_expression(scope, plain[scope]))
+        annotation = draw(st.sampled_from(("", f" @{scope}")))
+        monoid = draw(st.sampled_from(("", " monoid")))
+        lines.append(f"interface I{i}{annotation}{monoid} {{ {expr} }}")
+        if not conditional:
+            plain[scope].append(f"I{i}")
+    if plain["global"] and draw(st.booleans()):
+        source = draw(st.sampled_from(plain["global"]))
+        coarse = draw(st.sampled_from(("e1", "e2", "e3")))
+        lines.append(f"refine R = {source} expand {coarse} into r1, r2")
+    if plain["local"] + plain["global"] and draw(st.booleans()):
+        source = draw(st.sampled_from(plain["local"] + plain["global"]))
+        old = draw(st.sampled_from(("e1", "e4")))
+        lines.append(f"rename N = {source} {{ entity {old} -> e2, "
+                     f"motive {draw(st.sampled_from(('m', 'k')))} -> n, "
+                     f"action {draw(st.sampled_from(('b', 'c')))} -> a }}")
+    for arch in range(draw(st.integers(0, 2))):
+        members = []
+        for _ in range(draw(st.integers(1, 3))):
+            contained = draw(st.sampled_from(("", "contained ")))
+            entity = draw(st.sampled_from(("e1", "e2", "e3")))
+            expr, _ = draw(clean_expression("local", plain["local"]))
+            members.append(f"{contained}{entity} : {{ {expr} }}")
+        lines.append(f"architecture A{arch} {{ {', '.join(members)} }}")
+        lines.append(f"check closed A{arch}")
+    return "\n".join(lines) + "\n"
+
+
+def lint_pair(text, allow_undeclared):
+    """The resolution of ``text``, its lint, and the lint of the old walk."""
+    res = resolve(parse_module(text, "m.fti"), allow_undeclared=allow_undeclared)
+    return res, lint(res), old_lint.lint(res)
+
+
+class TestLintOracle:
+    """``lint`` takes the names in expressions from the resolver's record of
+    looked-up names.  Without resolution errors it equals the lint that
+    walked every expression again (``old_lint``); with errors, it may only
+    add ``unused …`` warnings for names that evaluation never reached."""
+
+    @given(text=clean_module_text(), allow_undeclared=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_clean_modules(self, text, allow_undeclared):
+        res, new, old = lint_pair(text, allow_undeclared)
+        assert res.ok, [d.render() for d in res.errors]
+        assert new == old
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_TEXTS))
+    @pytest.mark.parametrize("allow_undeclared", (False, True))
+    def test_fixtures(self, name, allow_undeclared):
+        text = FIXTURE_TEXTS[name]
+        if name == "closed_arch.fti":
+            text = FIXTURE_TEXTS["catalog.fti"] + FIXTURE_TEXTS["lfti_maeiis.fti"] + text
+        _, new, old = lint_pair(text, allow_undeclared)
+        assert new == old
+
+    @given(text=module_text(), allow_undeclared=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_failing_modules_only_add_unused_warnings(self, text, allow_undeclared):
+        res, new, old = lint_pair(text, allow_undeclared)
+        if res.ok:
+            assert new == old
+            return
+        assert not Counter(old) - Counter(new)
+        extra = Counter(new) - Counter(old)
+        assert all(d.severity == "warning" and d.pos is None
+                   and d.message.startswith("unused ") for d in extra), extra
 
 
 class TestParserPrecedence:
@@ -580,6 +704,13 @@ class TestLint:
         text = "entity f\naction a\nmotive m\ninterface I @local monoid { f.a(m) }"
         res = resolve(parse_module(text))
         assert lint(res) == []
+
+    def test_duplicate_definition_body_is_not_looked_up(self):
+        text = "entity e\naction a\nmotive m\nmotive n\n" \
+            "interface I { e.a(m) }\ninterface I { e.a(n) }"
+        res = resolve(parse_module(text))
+        assert [d.message for d in res.errors] == ["duplicate interface definition: I"]
+        assert [d.message for d in lint(res)] == ["unused motive: n"]
 
     def test_parent_of_used_entity_counts_as_used(self):
         text = "entity p { entity ch }\naction a\nmotive m\ninterface I { ch.a(m) }"

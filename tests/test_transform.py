@@ -1,4 +1,3 @@
-import functools
 import itertools
 import operator
 
@@ -244,8 +243,8 @@ class TestConditional:
         # at g: outgoing to f under c; at f: the matching incoming under c
         at_g = ConditionalInterface(branches={C: Interface.term(service("f", "a", "m"))})
         at_f = ConditionalInterface(branches={C: Interface.term(client("g", "a", "m"))})
-        total = at_g.map_interfaces(lambda i: globalize("g", i)) + \
-            at_f.map_interfaces(lambda i: globalize("f", i))
+        total = conditional_sum((at_g.map_interfaces(lambda i: globalize("g", i)),
+                                 at_f.map_interfaces(lambda i: globalize("f", i))))
         report = closed_under_all_assignments(total)
         assert report.closed
         assert len(report.cases) == 2
@@ -260,7 +259,7 @@ class TestConditional:
         at_g = ConditionalInterface(branches={C: Interface.term(service("f", "a", "m", host="g"))})
         at_f = ConditionalInterface(
             branches={ConditionLiteral("d"): Interface.term(client("g", "a", "m", host="f"))})
-        report = closed_under_all_assignments(at_g + at_f)
+        report = closed_under_all_assignments(conditional_sum((at_g, at_f)))
         assert not report.closed
         failing = [dict(a) for a, rep in report.cases if not rep.closed]
         assert {"c": True, "d": False} in failing
@@ -340,9 +339,6 @@ class TestConditionalSumOracle:
         # a part without branches may be passed as its plain Interface
         unwrapped = [p.unconditional if p.is_plain else p for p in parts]
         assert outcome(lambda: parts_of(conditional_sum(iter(unwrapped)))) == want
-        folded = outcome(
-            lambda: parts_of(functools.reduce(operator.add, parts, ConditionalInterface())))
-        assert folded == want
 
     def test_branches_cancel_and_scope_frees(self):
         got = conditional_sum([
