@@ -108,30 +108,14 @@ class EntityItem(Item):
         self.extern = extern
 
 
-class ActionItem(Item):
-    __slots__ = ("name", "extern")
+class NameItem(Item):
+    __slots__ = ("kind", "name", "extern")
 
-    def __init__(self, pos: SourcePosition, name: str, extern: bool = False):
+    def __init__(self, pos: SourcePosition, kind: str, name: str, extern: bool = False):
         self.pos = pos
+        self.kind = kind          # "action", "motive" or "condition"; conditions are never extern
         self.name = name
         self.extern = extern
-
-
-class MotiveItem(Item):
-    __slots__ = ("name", "extern")
-
-    def __init__(self, pos: SourcePosition, name: str, extern: bool = False):
-        self.pos = pos
-        self.name = name
-        self.extern = extern
-
-
-class ConditionItem(Item):
-    __slots__ = ("name",)
-
-    def __init__(self, pos: SourcePosition, name: str):
-        self.pos = pos
-        self.name = name
 
 
 class InterfaceDef(Item):

@@ -11,14 +11,17 @@ even when a ``+``/``-`` sign intervenes (as in hand-written listings).
 from __future__ import annotations
 
 from ..algebra import ALPHAS
-from ..errors import ParseError
+from ..errors import ParseError, SourcePosition
 from .astnodes import (
-    ActionItem, ArchMemberDef, ArchitectureDef, CheckDirective, CondExpr,
-    ConditionItem, EntityItem, ExprNode, GenExpr, InterfaceDef, MotiveItem,
-    NegExpr, ParenExpr, RefExpr, RefineDef, RenameDef, ScaleExpr, SpecModule,
-    StandaloneComment, SumExpr, ZeroExpr,
+    ArchMemberDef, ArchitectureDef, CheckDirective, CondExpr, EntityItem, ExprNode,
+    GenExpr, InterfaceDef, NameItem, NegExpr, ParenExpr, RefExpr, RefineDef, RenameDef,
+    ScaleExpr, SpecModule, StandaloneComment, SumExpr, ZeroExpr,
 )
 from .lexer import Token, tokenize
+
+# what a bare declaration's keyword expects next
+_NAME_WHAT = {"action": "action name", "motive": "motive name",
+              "condition": "condition variable name"}
 
 
 def _attach_comment(node: ExprNode, text: str) -> ExprNode:
@@ -58,12 +61,6 @@ class Parser:
             raise ParseError(f"expected {want}, found {tok.text or 'end of input'!r}", tok.pos)
         return self.next()
 
-    def expect_name(self, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "IDENT":
-            raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.pos)
-        return self.next()
-
     # ------------------------------------------------------------- items
 
     def parse_module(self) -> SpecModule:
@@ -81,18 +78,8 @@ class Parser:
             return self.parse_entity(extern=False)
         if tok.kind == "extern":
             return self.parse_extern()
-        if tok.kind == "action":
-            self.next()
-            name = self.expect_name("action name")
-            return ActionItem(tok.pos, name.text)
-        if tok.kind == "motive":
-            self.next()
-            name = self.expect_name("motive name")
-            return MotiveItem(tok.pos, name.text)
-        if tok.kind == "condition":
-            self.next()
-            name = self.expect_name("condition variable name")
-            return ConditionItem(tok.pos, name.text)
+        if tok.kind in _NAME_WHAT:
+            return self.parse_name_item(tok.pos)
         if tok.kind == "interface":
             return self.parse_interface_def()
         if tok.kind == "architecture":
@@ -107,7 +94,7 @@ class Parser:
 
     def parse_entity(self, extern: bool) -> EntityItem:
         start = self.expect("entity")
-        name = self.expect_name("entity name")
+        name = self.expect("IDENT", "entity name")
         children: list[EntityItem] = []
         if self.peek().kind == "LBRACE":
             if extern:
@@ -118,30 +105,30 @@ class Parser:
             self.expect("RBRACE")
         return EntityItem(start.pos, name.text, tuple(children), extern)
 
+    def parse_name_item(self, pos: SourcePosition, extern: bool = False) -> NameItem:
+        """``action|motive|condition NAME``, placed at ``pos``."""
+        kind = self.next().kind
+        name = self.expect("IDENT", _NAME_WHAT[kind])
+        return NameItem(pos, kind, name.text, extern)
+
     def parse_extern(self):
         start = self.expect("extern")
         kind = self.peek()
         if kind.kind == "entity":
             item = self.parse_entity(extern=True)
             return item.replace(pos=start.pos)
-        if kind.kind == "action":
-            self.next()
-            name = self.expect_name("action name")
-            return ActionItem(start.pos, name.text, extern=True)
-        if kind.kind == "motive":
-            self.next()
-            name = self.expect_name("motive name")
-            return MotiveItem(start.pos, name.text, extern=True)
+        if kind.kind in ("action", "motive"):
+            return self.parse_name_item(start.pos, extern=True)
         raise ParseError("extern expects entity, action or motive", kind.pos)
 
     def parse_interface_def(self) -> InterfaceDef:
         start = self.expect("interface")
-        name = self.expect_name("interface name")
+        name = self.expect("IDENT", "interface name")
         scope = None
         monoid = False
         if self.peek().kind == "AT":
             self.next()
-            word = self.expect_name("local or global")
+            word = self.expect("IDENT", "local or global")
             if word.text not in ("local", "global"):
                 raise ParseError(f"expected local or global after @, found {word.text!r}", word.pos)
             scope = word.text
@@ -155,7 +142,7 @@ class Parser:
 
     def parse_architecture_def(self) -> ArchitectureDef:
         start = self.expect("architecture")
-        name = self.expect_name("architecture name")
+        name = self.expect("IDENT", "architecture name")
         self.expect("LBRACE")
         members: list[ArchMemberDef] = []
         while self.peek().kind != "RBRACE":
@@ -173,7 +160,7 @@ class Parser:
         if start.kind == "contained":
             self.next()
             contained = True
-        entity = self.expect_name("member entity name")
+        entity = self.expect("IDENT", "member entity name")
         self.expect("COLON", "':' after member entity")
         if self.peek().kind == "LBRACE":
             self.next()
@@ -185,10 +172,10 @@ class Parser:
 
     def parse_check(self) -> CheckDirective:
         start = self.expect("check")
-        kind = self.expect_name("check kind")
+        kind = self.expect("IDENT", "check kind")
         if kind.text != "closed":
             raise ParseError(f"unknown check kind {kind.text!r} (expected closed)", kind.pos)
-        target = self.expect_name("architecture name")
+        target = self.expect("IDENT", "architecture name")
         return CheckDirective(start.pos, kind.text, target.text)
 
     def _expect_word(self, word: str) -> Token:
@@ -199,23 +186,23 @@ class Parser:
 
     def parse_refine_def(self) -> RefineDef:
         start = self.expect("refine")
-        name = self.expect_name("derived interface name")
+        name = self.expect("IDENT", "derived interface name")
         self.expect("EQUALS", "'='")
-        source = self.expect_name("source interface name")
+        source = self.expect("IDENT", "source interface name")
         self._expect_word("expand")
-        coarse = self.expect_name("entity to expand")
+        coarse = self.expect("IDENT", "entity to expand")
         self._expect_word("into")
-        parts = [self.expect_name("part entity").text]
+        parts = [self.expect("IDENT", "part entity").text]
         while self.peek().kind == "COMMA":
             self.next()
-            parts.append(self.expect_name("part entity").text)
+            parts.append(self.expect("IDENT", "part entity").text)
         return RefineDef(start.pos, name.text, source.text, coarse.text, tuple(parts))
 
     def parse_rename_def(self) -> RenameDef:
         start = self.expect("rename")
-        name = self.expect_name("derived interface name")
+        name = self.expect("IDENT", "derived interface name")
         self.expect("EQUALS", "'='")
-        source = self.expect_name("source interface name")
+        source = self.expect("IDENT", "source interface name")
         self.expect("LBRACE")
         pairs = {"entity": [], "action": [], "motive": []}
         while self.peek().kind != "RBRACE":
@@ -223,9 +210,9 @@ class Parser:
             if kind.kind not in ("entity", "action", "motive"):
                 raise ParseError("rename pairs start with entity, action or motive", kind.pos)
             self.next()
-            old = self.expect_name("name to rename")
+            old = self.expect("IDENT", "name to rename")
             self.expect("ARROW", "'->'")
-            new = self.expect_name("replacement name")
+            new = self.expect("IDENT", "replacement name")
             pairs[kind.kind].append((old.text, new.text))
             if self.peek().kind == "COMMA":
                 self.next()
@@ -285,7 +272,7 @@ class Parser:
         if self.peek().kind == "BANG":
             self.next()
             negated = True
-        variable = self.expect_name("condition variable")
+        variable = self.expect("IDENT", "condition variable")
         self.expect("CONDR", "|>")
         otherwise = self.parse_atom()
         return CondExpr(start.pos, node, variable.text, negated, otherwise)
@@ -302,7 +289,7 @@ class Parser:
             return ParenExpr(tok.pos, inner)
         if tok.kind == "TILDE":
             self.next()
-            name = self.expect_name("entity name after ~")
+            name = self.expect("IDENT", "entity name after ~")
             return self.parse_generator("client", name)
         if tok.kind == "IDENT":
             self.next()
@@ -314,26 +301,26 @@ class Parser:
 
     def parse_generator(self, polarity: str, target: Token) -> GenExpr:
         self.expect("DOT")
-        action = self.expect_name("action name")
+        action = self.expect("IDENT", "action name")
         self.expect("LPAREN", "'(' introducing the motive")
         motive: tuple[str, ...] = ()
         if self.peek().kind == "INT" and self.peek().text == "0":
             self.next()
         else:
-            atoms = [self.expect_name("motive atom").text]
+            atoms = [self.expect("IDENT", "motive atom").text]
             while self.peek().kind == "PLUS":
                 self.next()
-                atoms.append(self.expect_name("motive atom").text)
+                atoms.append(self.expect("IDENT", "motive atom").text)
             motive = tuple(atoms)
         self.expect("RPAREN", "')' closing the motive")
         host = None
         if self.peek().kind == "AT":
             self.next()
-            host = self.expect_name("host entity name").text
+            host = self.expect("IDENT", "host entity name").text
         alpha = "TF"
         if self.peek().kind == "SLASH":
             self.next()
-            word = self.expect_name("reply constraint (TF, T, F or lambda)")
+            word = self.expect("IDENT", "reply constraint (TF, T, F or lambda)")
             if word.text not in ALPHAS:
                 raise ParseError(f"unknown reply constraint /{word.text}", word.pos)
             alpha = word.text

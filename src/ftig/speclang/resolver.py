@@ -20,9 +20,8 @@ from ..transform import (
     conditional_sum, expand_motives, refine, rename,
 )
 from .astnodes import (
-    ActionItem, CheckDirective, CondExpr, ConditionItem, EntityItem, GenExpr,
-    MotiveItem, NegExpr, ParenExpr, RefExpr, RefineDef, RenameDef, ScaleExpr,
-    SpecModule, SumExpr, ZeroExpr,
+    CheckDirective, CondExpr, EntityItem, GenExpr, NameItem, NegExpr, ParenExpr, RefExpr,
+    RefineDef, RenameDef, ScaleExpr, SpecModule, SumExpr, ZeroExpr,
 )
 from .parser import parse_expression
 
@@ -273,12 +272,8 @@ def build_catalog(module: SpecModule) -> tuple[Catalog, list[Diagnostic]]:
         try:
             if isinstance(item, EntityItem):
                 _declare_entities(item, None, catalog, diags)
-            elif isinstance(item, ActionItem):
-                catalog.add_name("action", item.name, item.extern)
-            elif isinstance(item, MotiveItem):
-                catalog.add_name("motive", item.name, item.extern)
-            elif isinstance(item, ConditionItem):
-                catalog.add_name("condition", item.name)
+            elif isinstance(item, NameItem):
+                catalog.add_name(item.kind, item.name, item.extern)
         except ValueError as exc:
             diags.append(Diagnostic("error", str(exc), item.pos))
     return catalog, diags

@@ -4,6 +4,12 @@ tokenizer, kept as the oracle for ``test_speclang.TestFrontEndOracle``.
 Only the imports and the four ``replace`` calls are changed: the imports
 name the ``ftig`` modules absolutely, and the calls use the syntax-tree
 nodes' own ``replace`` method in place of ``dataclasses.replace``.
+
+Since bare name declarations became one ``NameItem`` node, the only other
+change is three functions named after the deleted ``ActionItem``,
+``MotiveItem`` and ``ConditionItem`` classes, taking the same arguments
+and returning the matching ``NameItem``, so the parser below builds
+today's nodes unchanged.
 """
 
 from __future__ import annotations
@@ -12,11 +18,23 @@ from dataclasses import dataclass
 
 from ftig.errors import ParseError, SourcePosition
 from ftig.speclang.astnodes import (
-    ActionItem, ArchMemberDef, ArchitectureDef, CheckDirective, CondExpr,
-    ConditionItem, EntityItem, ExprNode, GenExpr, InterfaceDef, MotiveItem,
+    ArchMemberDef, ArchitectureDef, CheckDirective, CondExpr,
+    EntityItem, ExprNode, GenExpr, InterfaceDef, NameItem,
     NegExpr, ParenExpr, RefExpr, RefineDef, RenameDef, ScaleExpr, SpecModule,
     StandaloneComment, SumExpr, ZeroExpr,
 )
+
+
+def ActionItem(pos, name, extern=False):
+    return NameItem(pos, "action", name, extern)
+
+
+def MotiveItem(pos, name, extern=False):
+    return NameItem(pos, "motive", name, extern)
+
+
+def ConditionItem(pos, name):
+    return NameItem(pos, "condition", name)
 
 KEYWORDS = frozenset({
     "entity", "extern", "action", "motive", "condition",

@@ -321,9 +321,9 @@ class TestComply:
         spec = tmp_path / "deep.fti"
         spec.write_text("entity f\naction a\nmotive m\n"
                         "interface I { " + "(" * 50000 + "f.a(m)" + ")" * 50000 + " }\n")
-        code, _, err = invoke(capsys, "check", str(spec))
-        assert code == 2
-        assert "too deep" in err
+        code, out, err = invoke(capsys, "check", str(spec))
+        assert (code, out) == (2, "")
+        assert err == "error: expression nesting too deep\n"
 
     def test_undeclared_event_names_rejected(self, capsys, tmp_path):
         log = tmp_path / "log.csv"

@@ -12,14 +12,15 @@ from conftest import FIXTURES
 
 from ftig import transform
 from ftig.algebra import I64_MAX, Interface, client, service
-from ftig.errors import ParseError
+from ftig.errors import ParseError, SourcePosition
 from ftig.speclang import (
     evaluate_expression_text, lint, parse_expression, parse_module, resolve,
     tokenize,
 )
 from ftig.speclang import resolver as resolver_module
 from ftig.speclang.astnodes import (
-    CondExpr, GenExpr, NegExpr, RefExpr, ScaleExpr, SpecModule, SumExpr,
+    ArchitectureDef, CondExpr, GenExpr, NameItem, NegExpr, RefExpr, RenameDef, ScaleExpr,
+    SpecModule, SumExpr,
 )
 
 
@@ -461,6 +462,42 @@ class TestParserPrecedence:
     def test_unknown_reply_constraint(self):
         with pytest.raises(ParseError, match="reply"):
             parse_expression("f.a(m)@g/Q")
+
+
+class TestDeclarations:
+    """Each declaration error has this exact message and position, and the
+    parser accepts the forms that ``docs/grammar.ebnf`` allows."""
+
+    @pytest.mark.parametrize("text, error", [
+        ("action", "1:7: expected action name, found 'end of input'"),
+        ("motive 1", "1:8: expected motive name, found '1'"),
+        ("condition +", "1:11: expected condition variable name, found '+'"),
+        ("extern action", "1:14: expected action name, found 'end of input'"),
+        ("extern motive", "1:14: expected motive name, found 'end of input'"),
+        ("extern condition c", "1:8: extern expects entity, action or motive"),
+        ("extern entity e { entity f }", "1:17: extern entities cannot declare children"),
+        ("action a b", "1:10: expected a declaration, found 'b'"),
+    ], ids=["action-eof", "motive-int", "condition-plus", "extern-action", "extern-motive",
+            "extern-condition", "extern-entity-children", "two-names"])
+    def test_parse_errors(self, text, error):
+        with pytest.raises(ParseError) as err:
+            parse_module(text, "m.fti")
+        assert str(err.value) == "m.fti:" + error
+
+    def test_extern_item_takes_the_extern_position(self):
+        assert parse_module("  extern  action a\ncondition c", "m.fti").items == [
+            NameItem(SourcePosition(1, 3, "m.fti"), "action", "a", extern=True),
+            NameItem(SourcePosition(2, 1, "m.fti"), "condition", "c", extern=False),
+        ]
+
+    @pytest.mark.parametrize("text, item", [
+        ("rename S = I { }", RenameDef(None, "S", "I", (), (), ())),
+        ("rename R = I { entity a -> b, }", RenameDef(None, "R", "I", (("a", "b"),), (), ())),
+        ("architecture A { }", ArchitectureDef(None, "A", ())),
+    ], ids=["rename-empty", "rename-trailing-comma", "architecture-empty"])
+    def test_empty_bodies_and_trailing_commas(self, text, item):
+        (parsed_item,) = parse_module(text, "m.fti").items
+        assert parsed_item == item.replace(pos=parsed_item.pos)
 
 
 MODULE_TEXT = """

@@ -17,10 +17,9 @@ from ftig.errors import SourcePosition
 from ftig.locglob import Decomposition
 from ftig.reflection import ClosednessReport, Residual
 from ftig.speclang.astnodes import (
-    ActionItem, ArchitectureDef, ArchMemberDef, CheckDirective, CondExpr,
-    ConditionItem, EntityItem, ExprNode, GenExpr, InterfaceDef, Item, MotiveItem,
-    NegExpr, ParenExpr, RefExpr, RefineDef, RenameDef, ScaleExpr, SpecModule,
-    StandaloneComment, SumExpr, ZeroExpr,
+    ArchitectureDef, ArchMemberDef, CheckDirective, CondExpr, EntityItem, ExprNode,
+    GenExpr, InterfaceDef, Item, NameItem, NegExpr, ParenExpr, RefExpr, RefineDef,
+    RenameDef, ScaleExpr, SpecModule, StandaloneComment, SumExpr, ZeroExpr,
 )
 from ftig.speclang.resolver import Diagnostic, Resolution
 from ftig.transform import (
@@ -57,9 +56,7 @@ RECORDS = {
     Item: lambda: Item(pos=pos()),
     EntityItem: lambda: EntityItem(pos=pos(), name="e",
                                    children=(EntityItem(pos(2), "e:c"),), extern=False),
-    ActionItem: lambda: ActionItem(pos=pos(), name="a", extern=True),
-    MotiveItem: lambda: MotiveItem(pos=pos(), name="a", extern=True),
-    ConditionItem: lambda: ConditionItem(pos=pos(), name="c"),
+    NameItem: lambda: NameItem(pos=pos(), kind="action", name="a", extern=True),
     InterfaceDef: lambda: InterfaceDef(pos=pos(), name="I", scope_annotation="local",
                                        monoid=False, expr=gen_expr()),
     ArchMemberDef: lambda: ArchMemberDef(pos=pos(), entity="e", contained=True,
@@ -72,7 +69,7 @@ RECORDS = {
     RenameDef: lambda: RenameDef(pos=pos(), name="J", source="I", entity_map=(("e", "f"),),
                                  action_map=(), motive_map=(("m", "n"),)),
     StandaloneComment: lambda: StandaloneComment(pos=pos(), text="note"),
-    SpecModule: lambda: SpecModule(items=[ConditionItem(pos(), "c")]),
+    SpecModule: lambda: SpecModule(items=[NameItem(pos(), "condition", "c")]),
     # architecture
     ArchMember: lambda: ArchMember(entity="e", interface=ConditionalInterface(
         Interface.term(service("f", "a", "m"))), contained=True),
@@ -126,7 +123,7 @@ REPLACEMENTS = {
     GenExpr: ("comments", ("c", "d")), NegExpr: ("inner", ZeroExpr(pos())),
     ScaleExpr: ("factor", 3), SumExpr: ("parts", ()), ParenExpr: ("comments", ("x",)),
     CondExpr: ("negated", False), Item: ("pos", pos(9)), EntityItem: ("extern", True),
-    ActionItem: ("name", "b"), MotiveItem: ("name", "n"), ConditionItem: ("name", "d"),
+    NameItem: ("kind", "motive"),
     InterfaceDef: ("monoid", True), ArchMemberDef: ("entity", "f"),
     ArchitectureDef: ("members", ()), CheckDirective: ("target", "B"),
     RefineDef: ("parts", ("r",)), RenameDef: ("action_map", (("a", "b"),)),
@@ -145,7 +142,7 @@ REPLACEMENTS = {
 
 
 def test_every_record_class_is_covered():
-    assert len(RECORDS) == 39
+    assert len(RECORDS) == 37
     assert REPLACEMENTS.keys() == RECORDS.keys()
 
 
@@ -203,7 +200,7 @@ def test_resolution_defaults_are_fresh():
 
 
 @pytest.mark.parametrize("one, other", [
-    (ActionItem(pos(), "a"), MotiveItem(pos(), "a")),
+    (NameItem(pos(), "action", "a"), NameItem(pos(), "motive", "a")),
     (ZeroExpr(pos()), Item(pos())),
     (ExprNode(pos()), ZeroExpr(pos())),
     (ParenExpr(pos(), ZeroExpr(pos())), NegExpr(pos(), ZeroExpr(pos()))),
