@@ -6,13 +6,21 @@ punctuation token used in architecture members.  Comments are written
 ``%[ ... %]`` and may span lines.  Whitespace is insignificant outside
 comments.
 
-Tokens keep their line and column as plain integers; the
-``SourcePosition`` of a token is built only when ``Token.pos`` is read.
+One ``re.split`` cuts the text into words and the whitespace between
+them.  The kind and text of each distinct word come from a table built
+once per text; a word no token class accepts (an unexpected character, a
+stray ``%``, an unterminated comment) is an error, and the first one is
+raised.  The token stream is three parallel lists: kinds, texts and start
+offsets.  Line and column are found only when a position is asked for,
+by a bisect over the line starts, which are built at the first request.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from collections.abc import Sequence
+from itertools import accumulate
 
 from ..errors import ParseError, SourcePosition
 
@@ -32,16 +40,41 @@ _PUNCT = {
 # the kind of every fixed spelling; any other name is an IDENT
 _KINDS = {**{word: word for word in KEYWORDS}, **_PUNCT}
 
-# one alternative per token class; a character no alternative matches is
-# an error, and a comment's body is found with str.find, not by the regex
-_TOKEN = re.compile(r"""
-    (?P<space>[ \t\r\n]+)
-  | (?P<comment>%\[)
-  | (?P<word>[A-Za-z_][A-Za-z0-9_]*(?::[A-Za-z0-9_]+)*
-      | ->|<\||\|>|[-+~.@/(){},:!=])
-  | (?P<int>[0-9]+)
-  | (?P<lambda>λ)
-""", re.VERBOSE)
+# one capturing group, so re.split returns separators and words in turn;
+# its last alternative takes any other character, so every separator is
+# whitespace.  An unterminated comment runs to the end of the text: with
+# a bare %\[.*?%\] each unmatched %[ would rescan the rest of the text.
+_SPLIT = re.compile(r"""(
+    %\[.*?(?:%\]|\Z)
+  | [A-Za-z_][A-Za-z0-9_]*(?::[A-Za-z0-9_]+)* | ->|<\||\|>|[-+~.@/(){},:!=]
+  | [0-9]+
+  | λ
+  | [^ \t\r\n]
+)""", re.VERBOSE | re.DOTALL)
+
+# the kind of a word no token class accepts; its text is the message
+_ERROR = "ERROR"
+
+
+def _classify(word: str) -> tuple[str, str]:
+    """The kind and text of one word of the split."""
+    kind = _KINDS.get(word)
+    if kind is not None:
+        return kind, word
+    first = word[0]
+    if first == "%":
+        if word[1:2] != "[":
+            return _ERROR, "stray % (comments open with %[)"
+        if word.endswith("%]"):
+            return "COMMENT", word[2:-2]
+        return _ERROR, "unterminated comment: missing %]"
+    if first in "0123456789":
+        return "INT", word
+    if first == "λ":  # λ reply constraint, normalized to its ASCII spelling
+        return "IDENT", "lambda"
+    if first == "_" or first.isascii() and first.isalpha():
+        return "IDENT", word
+    return _ERROR, f"unexpected character {first!r}"
 
 
 class Token:
@@ -75,44 +108,58 @@ class Token:
         return f"Token(kind={self.kind!r}, text={self.text!r}, pos={self.pos!r})"
 
 
-def tokenize(text: str, filename: str | None = None) -> list[Token]:
-    tokens: list[Token] = []
-    append = tokens.append
-    match = _TOKEN.match
-    kinds = _KINDS
-    n = len(text)
-    i = 0
-    line = 1
-    line_start = 0  # offset of the first character of ``line``
-    while i < n:
-        m = match(text, i)
-        if m is None:
-            ch = text[i]
-            pos = SourcePosition(line, i - line_start + 1, filename)
-            if ch == "%":
-                raise ParseError("stray % (comments open with %[)", pos)
-            raise ParseError(f"unexpected character {ch!r}", pos)
-        group = m.lastgroup
-        end = m.end()
-        if group == "word":
-            word = m.group()
-            append(Token(kinds.get(word, "IDENT"), word, line, i - line_start + 1, filename))
-        elif group == "int":
-            append(Token("INT", m.group(), line, i - line_start + 1, filename))
-        elif group == "lambda":  # λ reply constraint, normalized to its ASCII spelling
-            append(Token("IDENT", "lambda", line, i - line_start + 1, filename))
-        else:  # whitespace or a comment: the only matches that can span lines
-            if group == "comment":
-                close = text.find("%]", end)
-                if close < 0:
-                    raise ParseError("unterminated comment: missing %]",
-                                     SourcePosition(line, i - line_start + 1, filename))
-                append(Token("COMMENT", text[end:close], line, i - line_start + 1, filename))
-                end = close + 2
-            newline = text.rfind("\n", i, end)
-            if newline >= 0:
-                line += text.count("\n", i, newline + 1)
-                line_start = newline + 1
-        i = end
-    tokens.append(Token("EOF", "", line, n - line_start + 1, filename))
+class Tokens(Sequence):
+    """The tokens of one text, EOF last, as the parallel lists ``kinds``,
+    ``texts`` and ``starts`` (character offsets).  Indexing builds a
+    ``Token``; the parser reads the lists."""
+
+    __slots__ = ("kinds", "texts", "starts", "_text", "_file", "_line_starts")
+
+    def __init__(self, kinds: list[str], texts: list[str], starts: list[int],
+                 text: str, file: str | None):
+        self.kinds = kinds
+        self.texts = texts
+        self.starts = starts
+        self._text = text
+        self._file = file
+        self._line_starts = None
+
+    def __len__(self):
+        return len(self.kinds)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self.kinds)))]
+        pos = self.pos(i)
+        return Token(self.kinds[i], self.texts[i], pos.line, pos.col, self._file)
+
+    def pos(self, i: int) -> SourcePosition:
+        """Where token ``i`` starts."""
+        offset = self.starts[i]
+        lines = self._line_starts
+        if lines is None:
+            # only "\n" ends a line; each line starts one past the end of the one before
+            lengths = map((1).__add__, map(len, self._text.split("\n")))
+            lines = self._line_starts = list(accumulate(lengths, initial=0))
+        line = bisect_right(lines, offset)
+        return SourcePosition(line, offset - lines[line - 1] + 1, self._file)
+
+
+def tokenize(text: str, filename: str | None = None) -> Tokens:
+    parts = _SPLIT.split(text)
+    words = parts[1::2]
+    kind_of = dict.fromkeys(words)
+    text_of = {}
+    for word in kind_of:
+        kind_of[word], text_of[word] = _classify(word)
+    kinds = list(map(kind_of.__getitem__, words))
+    kinds.append("EOF")
+    texts = list(map(text_of.__getitem__, words))
+    texts.append("")
+    # a word starts where the parts before it end; the last start is EOF's
+    starts = list(accumulate(map(len, parts)))[::2]
+    tokens = Tokens(kinds, texts, starts, text, filename)
+    if _ERROR in kind_of.values():
+        i = kinds.index(_ERROR)
+        raise ParseError(texts[i], tokens.pos(i))
     return tokens

@@ -11,13 +11,13 @@ even when a ``+``/``-`` sign intervenes (as in hand-written listings).
 from __future__ import annotations
 
 from ..algebra import ALPHAS
-from ..errors import ParseError, SourcePosition
+from ..errors import ParseError
 from .astnodes import (
     ArchMemberDef, ArchitectureDef, CheckDirective, CondExpr, EntityItem, ExprNode,
     GenExpr, InterfaceDef, NameItem, NegExpr, ParenExpr, RefExpr, RefineDef, RenameDef,
     ScaleExpr, SpecModule, StandaloneComment, SumExpr, ZeroExpr,
 )
-from .lexer import Token, tokenize
+from .lexer import Tokens, tokenize
 
 # what a bare declaration's keyword expects next
 _NAME_WHAT = {"action": "action name", "motive": "motive name",
@@ -37,305 +37,319 @@ def _attach_comment(node: ExprNode, text: str) -> ExprNode:
 
 
 class Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """Reads the token lists by index: ``i`` is the next token, and
+    ``next``/``expect`` return the index they consumed.  A position is
+    built only for a syntax-tree node or an error.  EOF is the last token
+    and is never consumed, so the token after any other one exists."""
+
+    def __init__(self, tokens: Tokens):
+        self.kinds = tokens.kinds
+        self.texts = tokens.texts
+        self.pos = tokens.pos
         self.i = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        # EOF is the last token and next() never moves past it, so only a
-        # look-ahead can run off the end
-        if ahead:
-            return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
-        return self.tokens[self.i]
+    def peek(self) -> str:
+        return self.kinds[self.i]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "EOF":
-            self.i += 1
-        return tok
+    def next(self) -> int:
+        i = self.i
+        if self.kinds[i] != "EOF":
+            self.i = i + 1
+        return i
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            want = what or kind
-            raise ParseError(f"expected {want}, found {tok.text or 'end of input'!r}", tok.pos)
-        return self.next()
+    def expect(self, kind: str, what: str | None = None) -> int:
+        i = self.i
+        if self.kinds[i] != kind:
+            raise self.error(f"expected {what or kind}, found {self.found(i)!r}", i)
+        self.i = i + 1  # no caller expects EOF
+        return i
+
+    def found(self, i: int) -> str:
+        return self.texts[i] or "end of input"
+
+    def error(self, message: str, i: int) -> ParseError:
+        return ParseError(message, self.pos(i))
 
     # ------------------------------------------------------------- items
 
     def parse_module(self) -> SpecModule:
         module = SpecModule()
-        while self.peek().kind != "EOF":
+        while self.peek() != "EOF":
             module.items.append(self.parse_item())
         return module
 
     def parse_item(self):
-        tok = self.peek()
-        if tok.kind == "COMMENT":
-            self.next()
-            return StandaloneComment(tok.pos, tok.text)
-        if tok.kind == "entity":
+        i = self.i
+        kind = self.kinds[i]
+        if kind == "COMMENT":
+            self.i = i + 1
+            return StandaloneComment(self.pos(i), self.texts[i])
+        if kind == "entity":
             return self.parse_entity(extern=False)
-        if tok.kind == "extern":
+        if kind == "extern":
             return self.parse_extern()
-        if tok.kind in _NAME_WHAT:
-            return self.parse_name_item(tok.pos)
-        if tok.kind == "interface":
+        if kind in _NAME_WHAT:
+            return self.parse_name_item(i)
+        if kind == "interface":
             return self.parse_interface_def()
-        if tok.kind == "architecture":
+        if kind == "architecture":
             return self.parse_architecture_def()
-        if tok.kind == "check":
+        if kind == "check":
             return self.parse_check()
-        if tok.kind == "refine":
+        if kind == "refine":
             return self.parse_refine_def()
-        if tok.kind == "rename":
+        if kind == "rename":
             return self.parse_rename_def()
-        raise ParseError(f"expected a declaration, found {tok.text or 'end of input'!r}", tok.pos)
+        raise self.error(f"expected a declaration, found {self.found(i)!r}", i)
 
     def parse_entity(self, extern: bool) -> EntityItem:
         start = self.expect("entity")
-        name = self.expect("IDENT", "entity name")
+        name = self.texts[self.expect("IDENT", "entity name")]
         children: list[EntityItem] = []
-        if self.peek().kind == "LBRACE":
+        if self.peek() == "LBRACE":
             if extern:
-                raise ParseError("extern entities cannot declare children", self.peek().pos)
+                raise self.error("extern entities cannot declare children", self.i)
             self.next()
-            while self.peek().kind != "RBRACE":
+            while self.peek() != "RBRACE":
                 children.append(self.parse_entity(extern=False))
             self.expect("RBRACE")
-        return EntityItem(start.pos, name.text, tuple(children), extern)
+        return EntityItem(self.pos(start), name, tuple(children), extern)
 
-    def parse_name_item(self, pos: SourcePosition, extern: bool = False) -> NameItem:
-        """``action|motive|condition NAME``, placed at ``pos``."""
-        kind = self.next().kind
-        name = self.expect("IDENT", _NAME_WHAT[kind])
-        return NameItem(pos, kind, name.text, extern)
+    def parse_name_item(self, start: int, extern: bool = False) -> NameItem:
+        """``action|motive|condition NAME``, placed at token ``start``."""
+        kind = self.kinds[self.next()]
+        name = self.texts[self.expect("IDENT", _NAME_WHAT[kind])]
+        return NameItem(self.pos(start), kind, name, extern)
 
     def parse_extern(self):
         start = self.expect("extern")
         kind = self.peek()
-        if kind.kind == "entity":
+        if kind == "entity":
             item = self.parse_entity(extern=True)
-            return item.replace(pos=start.pos)
-        if kind.kind in ("action", "motive"):
-            return self.parse_name_item(start.pos, extern=True)
-        raise ParseError("extern expects entity, action or motive", kind.pos)
+            return item.replace(pos=self.pos(start))
+        if kind in ("action", "motive"):
+            return self.parse_name_item(start, extern=True)
+        raise self.error("extern expects entity, action or motive", self.i)
 
     def parse_interface_def(self) -> InterfaceDef:
         start = self.expect("interface")
-        name = self.expect("IDENT", "interface name")
+        name = self.texts[self.expect("IDENT", "interface name")]
         scope = None
         monoid = False
-        if self.peek().kind == "AT":
+        if self.peek() == "AT":
             self.next()
             word = self.expect("IDENT", "local or global")
-            if word.text not in ("local", "global"):
-                raise ParseError(f"expected local or global after @, found {word.text!r}", word.pos)
-            scope = word.text
-        if self.peek().kind == "monoid":
+            scope = self.texts[word]
+            if scope not in ("local", "global"):
+                raise self.error(f"expected local or global after @, found {scope!r}", word)
+        if self.peek() == "monoid":
             self.next()
             monoid = True
         self.expect("LBRACE")
         expr = self.parse_expr()
         self.expect("RBRACE")
-        return InterfaceDef(start.pos, name.text, scope, monoid, expr)
+        return InterfaceDef(self.pos(start), name, scope, monoid, expr)
 
     def parse_architecture_def(self) -> ArchitectureDef:
         start = self.expect("architecture")
-        name = self.expect("IDENT", "architecture name")
+        name = self.texts[self.expect("IDENT", "architecture name")]
         self.expect("LBRACE")
         members: list[ArchMemberDef] = []
-        while self.peek().kind != "RBRACE":
+        while self.peek() != "RBRACE":
             members.append(self.parse_member())
-            if self.peek().kind == "COMMA":
+            if self.peek() == "COMMA":
                 self.next()
-            elif self.peek().kind != "RBRACE":
-                raise ParseError("expected , or } after architecture member", self.peek().pos)
+            elif self.peek() != "RBRACE":
+                raise self.error("expected , or } after architecture member", self.i)
         self.expect("RBRACE")
-        return ArchitectureDef(start.pos, name.text, tuple(members))
+        return ArchitectureDef(self.pos(start), name, tuple(members))
 
     def parse_member(self) -> ArchMemberDef:
-        contained = False
-        start = self.peek()
-        if start.kind == "contained":
+        start = self.i
+        contained = self.peek() == "contained"
+        if contained:
             self.next()
-            contained = True
-        entity = self.expect("IDENT", "member entity name")
+        entity = self.texts[self.expect("IDENT", "member entity name")]
         self.expect("COLON", "':' after member entity")
-        if self.peek().kind == "LBRACE":
+        if self.peek() == "LBRACE":
             self.next()
             expr = self.parse_expr()
             self.expect("RBRACE")
         else:
             expr = self.parse_expr()
-        return ArchMemberDef(start.pos, entity.text, contained, expr)
+        return ArchMemberDef(self.pos(start), entity, contained, expr)
 
     def parse_check(self) -> CheckDirective:
         start = self.expect("check")
-        kind = self.expect("IDENT", "check kind")
-        if kind.text != "closed":
-            raise ParseError(f"unknown check kind {kind.text!r} (expected closed)", kind.pos)
-        target = self.expect("IDENT", "architecture name")
-        return CheckDirective(start.pos, kind.text, target.text)
+        word = self.expect("IDENT", "check kind")
+        kind = self.texts[word]
+        if kind != "closed":
+            raise self.error(f"unknown check kind {kind!r} (expected closed)", word)
+        target = self.texts[self.expect("IDENT", "architecture name")]
+        return CheckDirective(self.pos(start), kind, target)
 
-    def _expect_word(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.text != word:
-            raise ParseError(f"expected {word!r}, found {tok.text or 'end of input'!r}", tok.pos)
+    def _expect_word(self, word: str) -> int:
+        i = self.i
+        if self.kinds[i] != "IDENT" or self.texts[i] != word:
+            raise self.error(f"expected {word!r}, found {self.found(i)!r}", i)
         return self.next()
 
     def parse_refine_def(self) -> RefineDef:
+        texts = self.texts
         start = self.expect("refine")
-        name = self.expect("IDENT", "derived interface name")
+        name = texts[self.expect("IDENT", "derived interface name")]
         self.expect("EQUALS", "'='")
-        source = self.expect("IDENT", "source interface name")
+        source = texts[self.expect("IDENT", "source interface name")]
         self._expect_word("expand")
-        coarse = self.expect("IDENT", "entity to expand")
+        coarse = texts[self.expect("IDENT", "entity to expand")]
         self._expect_word("into")
-        parts = [self.expect("IDENT", "part entity").text]
-        while self.peek().kind == "COMMA":
+        parts = [texts[self.expect("IDENT", "part entity")]]
+        while self.peek() == "COMMA":
             self.next()
-            parts.append(self.expect("IDENT", "part entity").text)
-        return RefineDef(start.pos, name.text, source.text, coarse.text, tuple(parts))
+            parts.append(texts[self.expect("IDENT", "part entity")])
+        return RefineDef(self.pos(start), name, source, coarse, tuple(parts))
 
     def parse_rename_def(self) -> RenameDef:
+        texts = self.texts
         start = self.expect("rename")
-        name = self.expect("IDENT", "derived interface name")
+        name = texts[self.expect("IDENT", "derived interface name")]
         self.expect("EQUALS", "'='")
-        source = self.expect("IDENT", "source interface name")
+        source = texts[self.expect("IDENT", "source interface name")]
         self.expect("LBRACE")
         pairs = {"entity": [], "action": [], "motive": []}
-        while self.peek().kind != "RBRACE":
+        while self.peek() != "RBRACE":
             kind = self.peek()
-            if kind.kind not in ("entity", "action", "motive"):
-                raise ParseError("rename pairs start with entity, action or motive", kind.pos)
+            if kind not in pairs:
+                raise self.error("rename pairs start with entity, action or motive", self.i)
             self.next()
-            old = self.expect("IDENT", "name to rename")
+            old = texts[self.expect("IDENT", "name to rename")]
             self.expect("ARROW", "'->'")
-            new = self.expect("IDENT", "replacement name")
-            pairs[kind.kind].append((old.text, new.text))
-            if self.peek().kind == "COMMA":
+            new = texts[self.expect("IDENT", "replacement name")]
+            pairs[kind].append((old, new))
+            if self.peek() == "COMMA":
                 self.next()
-            elif self.peek().kind != "RBRACE":
-                raise ParseError("expected , or } after rename pair", self.peek().pos)
+            elif self.peek() != "RBRACE":
+                raise self.error("expected , or } after rename pair", self.i)
         self.expect("RBRACE")
-        return RenameDef(start.pos, name.text, source.text,
+        return RenameDef(self.pos(start), name, source,
                          tuple(pairs["entity"]), tuple(pairs["action"]), tuple(pairs["motive"]))
 
     # ------------------------------------------------------- expressions
 
     def parse_expr(self) -> ExprNode:
-        start = self.peek()
+        kinds = self.kinds
+        start = self.i
         parts: list[tuple[int, ExprNode]] = [(1, self.parse_factor())]
         self._slurp_comments(parts)
-        while self.peek().kind in ("PLUS", "MINUS"):
-            sign = 1 if self.next().kind == "PLUS" else -1
+        while kinds[self.i] in ("PLUS", "MINUS"):
+            sign = 1 if kinds[self.next()] == "PLUS" else -1
             self._slurp_comments(parts)
             parts.append((sign, self.parse_factor()))
             self._slurp_comments(parts)
         if len(parts) == 1 and parts[0][0] == 1:
             return parts[0][1]
-        return SumExpr(start.pos, tuple(parts))
+        return SumExpr(self.pos(start), tuple(parts))
 
     def _slurp_comments(self, parts: list[tuple[int, ExprNode]]):
-        while self.peek().kind == "COMMENT":
-            tok = self.next()
+        while self.kinds[self.i] == "COMMENT":
+            text = self.texts[self.next()]
             sign, node = parts[-1]
-            parts[-1] = (sign, _attach_comment(node, tok.text))
+            parts[-1] = (sign, _attach_comment(node, text))
 
     def parse_factor(self) -> ExprNode:
-        tok = self.peek()
-        if tok.kind == "MINUS":
-            self.next()
-            return NegExpr(tok.pos, self.parse_factor())
-        if tok.kind == "INT":
-            follower = self.peek(1)
-            if follower.kind == "IDENT" and follower.text == "x":
-                self.next()
-                self.next()
-                return ScaleExpr(tok.pos, int(tok.text), self.parse_primary())
-            if tok.text == "0":
-                self.next()
-                return self._maybe_conditional(ZeroExpr(tok.pos))
-            raise ParseError("an integer must be followed by the multiplicity keyword x "
-                             "(or be the empty interface 0)", tok.pos)
+        i = self.i
+        kind = self.kinds[i]
+        if kind == "MINUS":
+            self.i = i + 1
+            return NegExpr(self.pos(i), self.parse_factor())
+        if kind == "INT":
+            text = self.texts[i]
+            if self.kinds[i + 1] == "IDENT" and self.texts[i + 1] == "x":
+                self.i = i + 2
+                return ScaleExpr(self.pos(i), int(text), self.parse_primary())
+            if text == "0":
+                self.i = i + 1
+                return self._maybe_conditional(ZeroExpr(self.pos(i)))
+            raise self.error("an integer must be followed by the multiplicity keyword x "
+                             "(or be the empty interface 0)", i)
         return self.parse_primary()
 
     def parse_primary(self) -> ExprNode:
         return self._maybe_conditional(self.parse_atom())
 
     def _maybe_conditional(self, node: ExprNode) -> ExprNode:
-        if self.peek().kind != "CONDL":
+        if self.peek() != "CONDL":
             return node
         start = self.next()
-        negated = False
-        if self.peek().kind == "BANG":
+        negated = self.peek() == "BANG"
+        if negated:
             self.next()
-            negated = True
-        variable = self.expect("IDENT", "condition variable")
+        variable = self.texts[self.expect("IDENT", "condition variable")]
         self.expect("CONDR", "|>")
         otherwise = self.parse_atom()
-        return CondExpr(start.pos, node, variable.text, negated, otherwise)
+        return CondExpr(self.pos(start), node, variable, negated, otherwise)
 
     def parse_atom(self) -> ExprNode:
-        tok = self.peek()
-        if tok.kind == "INT" and tok.text == "0":
-            self.next()
-            return ZeroExpr(tok.pos)
-        if tok.kind == "LPAREN":
-            self.next()
+        i = self.i
+        kind = self.kinds[i]
+        if kind == "IDENT":
+            self.i = i + 1
+            if self.kinds[i + 1] == "DOT":
+                return self.parse_generator("service", i)
+            return RefExpr(self.pos(i), self.texts[i])
+        if kind == "INT" and self.texts[i] == "0":
+            self.i = i + 1
+            return ZeroExpr(self.pos(i))
+        if kind == "LPAREN":
+            self.i = i + 1
             inner = self.parse_expr()
             self.expect("RPAREN")
-            return ParenExpr(tok.pos, inner)
-        if tok.kind == "TILDE":
-            self.next()
+            return ParenExpr(self.pos(i), inner)
+        if kind == "TILDE":
+            self.i = i + 1
             name = self.expect("IDENT", "entity name after ~")
             return self.parse_generator("client", name)
-        if tok.kind == "IDENT":
-            self.next()
-            if self.peek().kind == "DOT":
-                return self.parse_generator("service", tok)
-            return RefExpr(tok.pos, tok.text)
-        raise ParseError(f"expected an interface element, found {tok.text or 'end of input'!r}",
-                         tok.pos)
+        raise self.error(f"expected an interface element, found {self.found(i)!r}", i)
 
-    def parse_generator(self, polarity: str, target: Token) -> GenExpr:
+    def parse_generator(self, polarity: str, target: int) -> GenExpr:
+        """The rest of a generator whose target entity is token ``target``."""
+        kinds = self.kinds
+        texts = self.texts
         self.expect("DOT")
-        action = self.expect("IDENT", "action name")
+        action = texts[self.expect("IDENT", "action name")]
         self.expect("LPAREN", "'(' introducing the motive")
         motive: tuple[str, ...] = ()
-        if self.peek().kind == "INT" and self.peek().text == "0":
-            self.next()
+        if kinds[self.i] == "INT" and texts[self.i] == "0":
+            self.i += 1
         else:
-            atoms = [self.expect("IDENT", "motive atom").text]
-            while self.peek().kind == "PLUS":
-                self.next()
-                atoms.append(self.expect("IDENT", "motive atom").text)
+            atoms = [texts[self.expect("IDENT", "motive atom")]]
+            while kinds[self.i] == "PLUS":
+                self.i += 1
+                atoms.append(texts[self.expect("IDENT", "motive atom")])
             motive = tuple(atoms)
         self.expect("RPAREN", "')' closing the motive")
         host = None
-        if self.peek().kind == "AT":
-            self.next()
-            host = self.expect("IDENT", "host entity name").text
+        if kinds[self.i] == "AT":
+            self.i += 1
+            host = texts[self.expect("IDENT", "host entity name")]
         alpha = "TF"
-        if self.peek().kind == "SLASH":
-            self.next()
+        if kinds[self.i] == "SLASH":
+            self.i += 1
             word = self.expect("IDENT", "reply constraint (TF, T, F or lambda)")
-            if word.text not in ALPHAS:
-                raise ParseError(f"unknown reply constraint /{word.text}", word.pos)
-            alpha = word.text
-        return GenExpr(target.pos, polarity, target.text, action.text, motive, host, alpha)
+            alpha = texts[word]
+            if alpha not in ALPHAS:
+                raise self.error(f"unknown reply constraint /{alpha}", word)
+        return GenExpr(self.pos(target), polarity, texts[target], action, motive, host, alpha)
 
 
 def parse_module(text: str, filename: str | None = None) -> SpecModule:
-    parser = Parser(tokenize(text, filename))
-    return parser.parse_module()
+    return Parser(tokenize(text, filename)).parse_module()
 
 
 def parse_expression(text: str, filename: str | None = None) -> ExprNode:
     parser = Parser(tokenize(text, filename))
     expr = parser.parse_expr()
-    tail = parser.peek()
-    if tail.kind != "EOF":
-        raise ParseError(f"unexpected trailing input {tail.text!r}", tail.pos)
+    tail = parser.i
+    if parser.kinds[tail] != "EOF":
+        raise parser.error(f"unexpected trailing input {parser.texts[tail]!r}", tail)
     return expr

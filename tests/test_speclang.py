@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -60,6 +61,49 @@ class TestLexer:
     def test_unexpected_character(self):
         with pytest.raises(ParseError):
             tokenize("a $ b")
+
+    def test_unterminated_comments_lex_in_linear_time(self):
+        # each unmatched %[ must not rescan the rest of the text
+        started = time.perf_counter()
+        with pytest.raises(ParseError) as caught:
+            tokenize("a " + "%[" * 50_000)
+        assert str(caught.value) == "<input>:1:3: unterminated comment: missing %]"
+        assert time.perf_counter() - started < 5
+
+    @pytest.mark.parametrize("text, message, line, col", [
+        ("a $ %[ x", "unexpected character '$'", 1, 3),
+        ("a %[ x %] b %[ y", "unterminated comment: missing %]", 1, 13),
+        ("q\n  %[\n", "unterminated comment: missing %]", 2, 3),
+        ("x %[]", "unterminated comment: missing %]", 1, 3),
+        ("x %] %[", "stray % (comments open with %[)", 1, 3),
+        ("a\tb\x0bc", "unexpected character '\\x0b'", 1, 4),
+    ])
+    def test_first_error_wins(self, text, message, line, col):
+        with pytest.raises(ParseError) as caught:
+            tokenize(text)
+        assert (caught.value.message, caught.value.pos) == (message, SourcePosition(line, col))
+
+    def test_token_sequence(self):
+        text = "interface I { e.a(m) }"
+        tokens = tokenize(text)
+        assert len(tokens) == 11  # ten tokens and EOF
+        assert tokens[-1].kind == "EOF"
+        assert list(tokens) == [tokens[i] for i in range(len(tokens))]
+        assert tokens[3:5] == [tokens[3], tokens[4]]
+
+    def test_parse_module_tokenizes_once_through_the_parser_namespace(self, monkeypatch):
+        # perfbench/layers.py times the lexer by wrapping parser.tokenize
+        # and counts len() of its result
+        from ftig.speclang import parser as parser_module
+        results = []
+
+        def counting(text, filename=None):
+            results.append(tokenize(text, filename))
+            return results[-1]
+
+        monkeypatch.setattr(parser_module, "tokenize", counting)
+        parse_module("interface I { e.a(m) }")
+        assert [len(result) for result in results] == [11]
 
 
 FIXTURE_TEXTS = {p.name: p.read_text(encoding="utf-8") for p in sorted(FIXTURES.glob("*.fti"))}
