@@ -18,6 +18,7 @@ from ftig.speclang import (
     evaluate_expression_text, lint, parse_expression, parse_module, resolve,
     tokenize,
 )
+from ftig.speclang import parser as parser_module
 from ftig.speclang import resolver as resolver_module
 from ftig.speclang.astnodes import (
     ArchitectureDef, CondExpr, GenExpr, NameItem, NegExpr, RefExpr, RenameDef, ScaleExpr,
@@ -94,7 +95,6 @@ class TestLexer:
     def test_parse_module_tokenizes_once_through_the_parser_namespace(self, monkeypatch):
         # perfbench/layers.py times the lexer by wrapping parser.tokenize
         # and counts len() of its result
-        from ftig.speclang import parser as parser_module
         results = []
 
         def counting(text, filename=None):
