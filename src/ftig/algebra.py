@@ -245,6 +245,15 @@ class Interface:
     def is_local(self) -> bool:
         return self._scope != GLOBAL
 
+    # a plain interface reads as a conditional one with no branches
+    @property
+    def unconditional(self) -> Interface:
+        return self
+
+    @property
+    def branches(self) -> tuple:
+        return ()
+
     def in_monoid(self) -> bool:
         """True when every coefficient is positive and every reply constraint is TF."""
         return all(c > 0 and g.alpha == ALPHA_TF for g, c in self._terms)

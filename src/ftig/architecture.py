@@ -22,15 +22,16 @@ from .locglob import globalize
 from .record import Record
 from .reflection import ClosednessReport, is_closed
 from .transform import (
-    AssignmentReport, ConditionalInterface, as_conditional, closed_under_all_assignments,
-    conditional_sum, eval_conditional, expand_motives,
+    AssignmentReport, ConditionalInterface, closed_under_all_assignments, conditional_sum,
+    eval_conditional, expand_motives, map_parts, plain_if_possible,
 )
 
 
 class ArchMember(Record):
     __slots__ = ("entity", "interface", "contained")
 
-    def __init__(self, entity: str, interface: ConditionalInterface, contained: bool = False):
+    def __init__(self, entity: str, interface: Interface | ConditionalInterface,
+                 contained: bool = False):
         self.entity = entity
         self.interface = interface
         self.contained = contained
@@ -39,30 +40,31 @@ class ArchMember(Record):
 class Architecture:
     """Ordered members with distinct entities; duplicate listings for the
     same entity are merged additively at construction.  ``members`` holds
-    ``(entity, interface)`` or ``(entity, interface, contained)`` tuples."""
+    ``(entity, interface)`` or ``(entity, interface, contained)`` tuples.
+    A member's interface is a ConditionalInterface only while it has a
+    branch."""
 
     def __init__(self, name: str, members=()):
         self.name = name
         merged: dict[str, ArchMember] = {}
         order: list[str] = []
         for item in members:
-            entity, iface = item[0], item[1]
+            entity, value = item[0], plain_if_possible(item[1])
             contained = item[2] if len(item) > 2 else False
-            cond = as_conditional(iface)
-            if cond.scope == GLOBAL:
+            if value.scope == GLOBAL:
                 raise ScopeError(f"member {entity} must hold a local interface")
             if entity in merged:
                 prev = merged[entity]
-                merged[entity] = ArchMember(entity, conditional_sum((prev.interface, cond)),
-                                            prev.contained or contained)
+                value = plain_if_possible(conditional_sum((prev.interface, value)))
+                merged[entity] = ArchMember(entity, value, prev.contained or contained)
             else:
-                merged[entity] = ArchMember(entity, cond, contained)
+                merged[entity] = ArchMember(entity, value, contained)
                 order.append(entity)
         self.members: tuple[ArchMember, ...] = tuple(merged[e] for e in order)
 
     @property
     def has_conditionals(self) -> bool:
-        return any(not m.interface.is_plain for m in self.members)
+        return any(m.interface.branches for m in self.members)
 
     def __repr__(self):
         return f"Architecture({self.name!r}, {len(self.members)} members)"
@@ -70,8 +72,8 @@ class Architecture:
 
 def _evaluate(member: ArchMember, assignment) -> Interface:
     """The member's interface, under ``assignment`` when it is conditional."""
-    if member.interface.is_plain:
-        return member.interface.unconditional
+    if not member.interface.branches:
+        return member.interface
     if assignment is None:
         raise ValueError(f"member {member.entity} is conditional; supply an assignment")
     return eval_conditional(member.interface, assignment)
@@ -90,9 +92,8 @@ def global_sum(arch: Architecture, assignment=None, catalog: Catalog | None = No
 
 def _conditional_global_sum(arch: Architecture, catalog: Catalog | None) -> ConditionalInterface:
     return conditional_sum(
-        member.interface.map_interfaces(
-            lambda i, e=member.entity: expand_motives(globalize(e, i, catalog))
-        )
+        map_parts(member.interface,
+                  lambda i, e=member.entity: expand_motives(globalize(e, i, catalog)))
         for member in arch.members
     )
 
@@ -146,9 +147,9 @@ def diff(a: Architecture, b: Architecture) -> tuple[tuple[str, Interface], ...]:
 def _plain_member(member: ArchMember | None) -> Interface:
     if member is None:
         return Interface.zero()
-    if not member.interface.is_plain:
+    if member.interface.branches:
         raise ValueError(f"member {member.entity} is conditional; evaluate it before diffing")
-    return member.interface.unconditional
+    return member.interface
 
 
 # ---------------------------------------------------------------- event logs

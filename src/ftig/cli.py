@@ -25,8 +25,7 @@ from .reflection import reduce_modulo_reflection
 from .speclang import lint, parse_module, resolve
 from .speclang.astnodes import SpecModule
 from .transform import (
-    ConditionalInterface, RefinementSpec, RenameMap, as_conditional, expand_motives, refine,
-    rename,
+    ConditionalInterface, RefinementSpec, RenameMap, expand_motives, map_parts, refine, rename,
 )
 
 
@@ -174,14 +173,14 @@ def _conditional_doc(value: ConditionalInterface) -> dict:
 
 def _cmd_normalize(args) -> int:
     res = _require_resolved(args)
-    value = as_conditional(_get_value(res, args.interface))
+    value = _get_value(res, args.interface)
     if args.expand_motives:
-        value = value.map_interfaces(expand_motives)
+        value = map_parts(value, expand_motives)
     if args.modulo_reflection:
-        if not value.is_plain:
+        if value.branches:
             raise CliError("cannot reduce a conditional interface modulo reflection")
         try:
-            residual = reduce_modulo_reflection(value.unconditional)
+            residual = reduce_modulo_reflection(value)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
         for gen in residual.non_cancellable:
@@ -193,16 +192,14 @@ def _cmd_normalize(args) -> int:
             non_cancellable=map(report.generator_object, residual.non_cancellable),
         ), lambda: [residual.canonical.render()])
         return 0
-    if value.is_plain:
-        iface = value.unconditional
-        _emit(args, lambda: report.document("normalize", interface=args.interface,
-                                            rendered=iface.render(),
-                                            terms=report.interface_terms(iface)),
-              lambda: [iface.render()])
-    else:
-        _emit(args, lambda: report.document("normalize", interface=args.interface,
-                                            rendered=value.render(), **_conditional_doc(value)),
-              lambda: [value.render()])
+
+    def doc():
+        fields = (_conditional_doc(value) if value.branches
+                  else {"terms": report.interface_terms(value)})
+        return report.document("normalize", interface=args.interface,
+                               rendered=value.render(), **fields)
+
+    _emit(args, doc, lambda: [value.render()])
     return 0
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from collections.abc import Sequence
 from itertools import accumulate
 
 from ..errors import ParseError, SourcePosition
@@ -77,41 +76,11 @@ def _classify(word: str) -> tuple[str, str]:
     return _ERROR, f"unexpected character {first!r}"
 
 
-class Token:
-    """One token: its kind (IDENT, INT, COMMENT, EOF, a keyword or a
-    punctuation kind), its text, and the 1-based line and column where it
-    starts."""
-
-    __slots__ = ("kind", "text", "line", "col", "file")
-
-    def __init__(self, kind: str, text: str, line: int, col: int, file: str | None = None):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-        self.file = file
-
-    @property
-    def pos(self) -> SourcePosition:
-        return SourcePosition(self.line, self.col, self.file)
-
-    def __eq__(self, other):
-        if not isinstance(other, Token):
-            return NotImplemented
-        return ((self.kind, self.text, self.line, self.col, self.file)
-                == (other.kind, other.text, other.line, other.col, other.file))
-
-    def __hash__(self):
-        return hash((self.kind, self.text, self.line, self.col, self.file))
-
-    def __repr__(self):
-        return f"Token(kind={self.kind!r}, text={self.text!r}, pos={self.pos!r})"
-
-
-class Tokens(Sequence):
+class Tokens:
     """The tokens of one text, EOF last, as the parallel lists ``kinds``,
-    ``texts`` and ``starts`` (character offsets).  Indexing builds a
-    ``Token``; the parser reads the lists."""
+    ``texts`` and ``starts`` (character offsets).  A kind is IDENT, INT,
+    COMMENT, EOF, a keyword or a punctuation kind; ``pos(i)`` is where
+    token ``i`` starts."""
 
     __slots__ = ("kinds", "texts", "starts", "_text", "_file", "_line_starts")
 
@@ -126,12 +95,6 @@ class Tokens(Sequence):
 
     def __len__(self):
         return len(self.kinds)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self.kinds)))]
-        pos = self.pos(i)
-        return Token(self.kinds[i], self.texts[i], pos.line, pos.col, self._file)
 
     def pos(self, i: int) -> SourcePosition:
         """Where token ``i`` starts."""

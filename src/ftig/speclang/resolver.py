@@ -17,7 +17,7 @@ from ..errors import ScopeError, SourcePosition
 from ..record import Record
 from ..transform import (
     ConditionalInterface, ConditionLiteral, RefinementSpec, RenameMap,
-    conditional_sum, expand_motives, refine, rename,
+    conditional_sum, expand_motives, map_parts, plain_if_possible, refine, rename,
 )
 from .astnodes import (
     CheckDirective, CondExpr, EntityItem, GenExpr, NameItem, NegExpr, ParenExpr, RefExpr,
@@ -198,7 +198,7 @@ class _Evaluator:
             value = self._eval_signed(sign, part)
             if isinstance(value, ConditionalInterface):
                 rest = (self._eval_signed(sign, part) for sign, part in parts)
-                return _plain_if_possible(conditional_sum(itertools.chain(
+                return plain_if_possible(conditional_sum(itertools.chain(
                     (running.total(), value), rest)))
             running.add(value)
         return running.total()
@@ -245,15 +245,11 @@ class _Evaluator:
         raise TypeError(f"unknown expression node: {type(node).__name__}")
 
 
-def _plain_if_possible(value: ConditionalInterface) -> Interface | ConditionalInterface:
-    return value.unconditional if value.is_plain else value
-
-
 def _scaled(value: Interface | ConditionalInterface, n: int) -> Interface | ConditionalInterface:
     """``n`` times ``value``; branches that scaling by 0 cancels are dropped."""
     if isinstance(value, Interface):
         return n * value
-    return _plain_if_possible(value.map_interfaces(lambda i: n * i))
+    return map_parts(value, lambda i: n * i)
 
 
 def _declare_entities(item: EntityItem, parent: str | None, catalog: Catalog, diags: list):
@@ -370,8 +366,7 @@ def lint(res: Resolution) -> list[Diagnostic]:
         value = res.interfaces.get(item.name)
         if value is None:
             continue
-        parts = ([value] if isinstance(value, Interface)
-                 else [value.unconditional] + [i for _, i in value.branches])
+        parts = [value.unconditional, *(i for _, i in value.branches)]
         gens = [g for part in parts for g, _ in part]
         selfers = sorted({g.text() for g in gens if g.is_self_loop})
         for text in selfers:

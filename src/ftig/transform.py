@@ -222,13 +222,25 @@ class ConditionalInterface:
         return f"ConditionalInterface<{self.render()}>"
 
 
-def as_conditional(value: Interface | ConditionalInterface) -> ConditionalInterface:
-    """``value`` as a ConditionalInterface; a plain Interface gets no branches."""
+def plain_if_possible(value: Interface | ConditionalInterface) -> Interface | ConditionalInterface:
+    """``value`` as its unconditional ``Interface`` when it has no branch.
+
+    A value is a ConditionalInterface only while one of its branches survives.
+    """
     if isinstance(value, ConditionalInterface):
-        return value
+        return value if value.branches else value.unconditional
     if isinstance(value, Interface):
-        return ConditionalInterface(value)
+        return value
     raise TypeError(f"expected Interface or ConditionalInterface, got {type(value).__name__}")
+
+
+def map_parts(value: Interface | ConditionalInterface,
+              fn: Callable[[Interface], Interface]) -> Interface | ConditionalInterface:
+    """``fn`` applied to the unconditional part and to each branch of ``value``;
+    plain unless a branch survives."""
+    if not value.branches:
+        return fn(value.unconditional)
+    return plain_if_possible(value.map_interfaces(fn))
 
 
 def conditional_sum(parts: Iterable[Interface | ConditionalInterface]) -> ConditionalInterface:
@@ -244,11 +256,7 @@ def conditional_sum(parts: Iterable[Interface | ConditionalInterface]) -> Condit
     branches: dict[ConditionLiteral, RunningSum] = {}
     nonzero = Counter()  # scope -> running sums of that scope with nonzero total
     for part in parts:
-        if isinstance(part, Interface):
-            items = ((None, part),)
-        else:
-            items = ((None, part.unconditional), *part.branches)
-        for lit, iface in items:
+        for lit, iface in ((None, part.unconditional), *part.branches):
             running = unconditional if lit is None else branches.setdefault(lit, RunningSum())
             nonzero[running.scope] -= 1
             running.add(iface)

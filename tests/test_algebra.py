@@ -46,6 +46,11 @@ class TestConstruction:
     def test_zero_motive_spellings(self):
         assert service("f", "a", "0") == service("f", "a", ()) == service("f", "a", "")
 
+    def test_plain_interface_reads_as_branchless(self):
+        for i in (Interface.zero(), iface((X, 2), (Y, -1))):
+            assert i.unconditional is i
+            assert i.branches == ()
+
 
 class TestGroupOps:
     def test_inverse_cancellation(self):

@@ -130,6 +130,42 @@ class TestDiff:
             assert left == right
 
 
+class TestMemberValues:
+    """A member holds an ``Interface`` unless a branch is present."""
+
+    def test_branchless_conditional_member_is_held_plain(self):
+        a = arch(("e1", ConditionalInterface(I1)), ("e2", I2))
+        assert [(type(m.interface), m.interface) for m in a.members] == \
+            [(Interface, I1), (Interface, I2)]
+        assert not a.has_conditionals
+        rep = check_closed(a)
+        assert rep.closed
+        assert rep.plain is not None and rep.conditional is None
+
+    def test_branches_cancelled_by_a_repeated_listing_leave_a_plain_member(self):
+        c = ConditionLiteral("c")
+        guarded = Interface.term(service("e2", "b", "m"))
+        a = arch(("e1", ConditionalInterface(I1, {c: guarded})),
+                 ("e1", ConditionalInterface(branches={c: -guarded})), ("e2", I2))
+        assert type(a.members[0].interface) is Interface
+        assert a.members[0].interface == I1
+        assert not a.has_conditionals
+        assert check_closed(a).plain is not None
+
+    def test_member_with_a_branch_stays_conditional(self):
+        cond = ConditionalInterface(I1, {ConditionLiteral("c"): I1})
+        a = arch(("e1", cond), ("e1", Interface.zero()))
+        assert a.members[0].interface == cond
+        assert a.has_conditionals
+
+    @pytest.mark.parametrize("value, name", [(3, "int"), ("e2.a(m)", "str"),
+                                             (None, "NoneType")])
+    def test_member_of_another_type_is_a_type_error(self, value, name):
+        with pytest.raises(TypeError) as caught:
+            arch(("e1", I1), ("e2", value))
+        assert str(caught.value) == f"expected Interface or ConditionalInterface, got {name}"
+
+
 class TestEventLog:
     def test_reads_plain_rows(self):
         text = "e1,e2,a,m,T\ne2,e1,a,m,F\n"

@@ -178,6 +178,42 @@ class TestNormalize:
         assert reparsed.render() + "\n" == out
 
 
+# K has one branch, which motive expansion empties; I is conditional, and B
+# lists it twice with opposite signs, so the merged member has no branch
+PLAIN_OR_CONDITIONAL = ("entity e\nentity f\naction a\nmotive m\ncondition c\n"
+                        "interface K @local { f.a(0) <| c |> 0 }\n"
+                        "interface I @local { f.a(m) <| c |> 0 }\n"
+                        "architecture A { e : K, f : 0 }\n"
+                        "architecture B { e : I, e : -I }\n")
+
+CLOSED_ENVELOPE = ('{\n  "schema": 1,\n  "command": "closed",\n  "architecture": "%s",\n'
+                   '  "verdict": "closed",\n  "residual": [],\n  "non_cancellable": [],\n')
+
+
+class TestPlainOrConditional:
+    """A value or member is plain unless a branch survives."""
+
+    @pytest.mark.parametrize("argv, text, json_out", [
+        (("normalize", "K", "--expand-motives"), "0\n",
+         '{\n  "schema": 1,\n  "command": "normalize",\n  "interface": "K",\n'
+         '  "rendered": "0",\n  "terms": []\n}\n'),
+        (("normalize", "K", "--expand-motives", "--modulo-reflection"), "0\n",
+         '{\n  "schema": 1,\n  "command": "normalize",\n  "interface": "K",\n'
+         '  "rendered": "0",\n  "terms": [],\n  "non_cancellable": []\n}\n'),
+        # A has a conditional member whose branch vanishes once hosted and expanded
+        (("closed", "A"), "CLOSED\n",
+         CLOSED_ENVELOPE % "A"
+         + '  "assignments": [\n    {\n      "assignment": {},\n'
+           '      "verdict": "closed",\n      "residual": []\n    }\n  ]\n}\n'),
+        (("closed", "B"), "CLOSED\n", CLOSED_ENVELOPE % "B" + '  "assignments": null\n}\n'),
+    ], ids=["normalize-expanded", "normalize-reduced", "closed-conditional", "closed-plain"])
+    def test_output(self, capsys, tmp_path, argv, text, json_out):
+        spec = tmp_path / "plain.fti"
+        spec.write_text(PLAIN_OR_CONDITIONAL)
+        for fmt, want in (("text", text), ("json", json_out)):
+            assert invoke(capsys, *argv, str(spec), "--format", fmt) == (0, want, "")
+
+
 class TestTransforms:
     def test_localize(self, capsys, tmp_path):
         spec = tmp_path / "g.fti"

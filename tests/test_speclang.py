@@ -28,19 +28,20 @@ from ftig.speclang.astnodes import (
 
 class TestLexer:
     def test_colon_identifiers(self):
-        kinds = [(t.kind, t.text) for t in tokenize("RIi:L:CSP:SE hmt:csla")]
+        toks = tokenize("RIi:L:CSP:SE hmt:csla")
+        kinds = list(zip(toks.kinds, toks.texts))
         assert kinds[:2] == [("IDENT", "RIi:L:CSP:SE"), ("IDENT", "hmt:csla")]
 
     def test_colon_as_separator_needs_boundary(self):
         # no space: one identifier; spaced: three tokens
-        assert [t.text for t in tokenize("SE:X")][:-1] == ["SE:X"]
-        assert [t.kind for t in tokenize("SE : X")][:-1] == ["IDENT", "COLON", "IDENT"]
-        assert [t.kind for t in tokenize("SE :X")][:-1] == ["IDENT", "COLON", "IDENT"]
+        assert tokenize("SE:X").texts[:-1] == ["SE:X"]
+        assert tokenize("SE : X").kinds[:-1] == ["IDENT", "COLON", "IDENT"]
+        assert tokenize("SE :X").kinds[:-1] == ["IDENT", "COLON", "IDENT"]
 
     def test_comment_token(self):
         toks = tokenize("x %[a comment\nwith lines%] y")
-        assert [t.kind for t in toks][:-1] == ["IDENT", "COMMENT", "IDENT"]
-        assert toks[1].text == "a comment\nwith lines"
+        assert toks.kinds[:-1] == ["IDENT", "COMMENT", "IDENT"]
+        assert toks.texts[1] == "a comment\nwith lines"
 
     def test_unterminated_comment(self):
         with pytest.raises(ParseError, match="%]"):
@@ -52,12 +53,12 @@ class TestLexer:
 
     def test_positions(self):
         toks = tokenize("a\n  b")
-        assert (toks[0].pos.line, toks[0].pos.col) == (1, 1)
-        assert (toks[1].pos.line, toks[1].pos.col) == (2, 3)
+        assert (toks.pos(0).line, toks.pos(0).col) == (1, 1)
+        assert (toks.pos(1).line, toks.pos(1).col) == (2, 3)
 
     def test_lambda_letter(self):
         toks = tokenize("f.a(m)/λ")
-        assert toks[-2].text == "lambda"
+        assert toks.texts[-2] == "lambda"
 
     def test_unexpected_character(self):
         with pytest.raises(ParseError):
@@ -88,9 +89,10 @@ class TestLexer:
         text = "interface I { e.a(m) }"
         tokens = tokenize(text)
         assert len(tokens) == 11  # ten tokens and EOF
-        assert tokens[-1].kind == "EOF"
-        assert list(tokens) == [tokens[i] for i in range(len(tokens))]
-        assert tokens[3:5] == [tokens[3], tokens[4]]
+        assert len(tokens.kinds) == len(tokens.texts) == len(tokens.starts) == 11
+        assert tokens.kinds[-1] == "EOF"
+        assert tokens.kinds.count("EOF") == 1
+        assert (tokens.texts[-1], tokens.starts[-1]) == ("", len(text))
 
     def test_parse_module_tokenizes_once_through_the_parser_namespace(self, monkeypatch):
         # perfbench/layers.py times the lexer by wrapping parser.tokenize
@@ -133,11 +135,16 @@ def mutated_fixture(draw) -> str:
 
 def lexed(tokenize_fn, text):
     """``(kind, text, pos)`` of each token, or the message and position of
-    the ``ParseError``."""
+    the ``ParseError``.  ``tokenize`` returns parallel lists;
+    ``old_speclang.tokenize`` returns a list of tokens."""
     try:
-        return [(t.kind, t.text, t.pos) for t in tokenize_fn(text, "m.fti")]
+        tokens = tokenize_fn(text, "m.fti")
     except ParseError as exc:
         return ("ParseError", exc.message, exc.pos)
+    if isinstance(tokens, list):
+        return [(t.kind, t.text, t.pos) for t in tokens]
+    return [(kind, word, tokens.pos(i))
+            for i, (kind, word) in enumerate(zip(tokens.kinds, tokens.texts))]
 
 
 def parsed(parse_fn, text):
