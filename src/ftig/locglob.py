@@ -20,12 +20,17 @@ from .errors import ScopeError
 from .record import Record
 
 
+def require_entity(entity: str, catalog: Catalog | None) -> None:
+    """Raise unless ``catalog`` is ``None`` or declares ``entity``."""
+    if catalog is not None and not catalog.has_entity(entity):
+        raise ValueError(f"entity {entity} is not in the catalog")
+
+
 def globalize(entity: str, iface: Interface, catalog: Catalog | None = None) -> Interface:
     """Host every element of a local interface at ``entity``."""
     if iface.scope == GLOBAL:
         raise ScopeError("globalize expects a local interface")
-    if catalog is not None and not catalog.has_entity(entity):
-        raise ValueError(f"entity {entity} is not in the catalog")
+    require_entity(entity, catalog)
     return induced(iface, lambda g: (
         (Generator(g.target, g.action, g.motive, g.polarity, entity, g.alpha), 1),))
 

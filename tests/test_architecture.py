@@ -5,17 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftig.algebra import (
-    ALPHA_F, ALPHA_NONE, ALPHA_T, ALPHA_TF, CLIENT, SERVICE,
+    ALPHA_F, ALPHA_NONE, ALPHA_T, ALPHA_TF, ALPHAS, CLIENT, I64_MAX, I64_MIN, SERVICE,
     Generator, Interface, client, service,
 )
 from ftig.architecture import (
     Architecture, TransferEvent, _match, check_closed, comply_events, diff,
     global_sum, read_event_log,
 )
+from ftig.catalog import Catalog
 from ftig.errors import LogFormatError, ScopeError
+from ftig.reflection import is_closed
 from ftig.transform import ConditionalInterface, ConditionLiteral, RefinementSpec, refine
 
-from conftest import interfaces, random_monoid_interface
+from conftest import COEFFS, interfaces, random_monoid_interface
 
 
 def arch(*members, name="A"):
@@ -101,8 +103,74 @@ class TestCheckClosed:
             x = random_monoid_interface(rng)
             matched = x + Interface((g.reflection_partner(), c) for g, c in x)
             spec = RefinementSpec("e2", ("e2a", "e2b"))
-            from ftig.reflection import is_closed
             assert is_closed(refine(matched, spec)).closed
+
+
+ORACLE_ENTITIES = ("e1", "e2", "e3")
+
+# local elements with zero, single and repeated-atom motives, mostly TF
+LOCAL_ELEMENTS = st.builds(
+    Generator,
+    target=st.sampled_from(ORACLE_ENTITIES),
+    action=st.just("a"),
+    motive=st.lists(st.sampled_from(("m1", "m2")), max_size=3).map(tuple),
+    polarity=st.sampled_from((SERVICE, CLIENT)),
+    host=st.just(None),
+    alpha=st.sampled_from((ALPHA_TF, ALPHA_TF, *ALPHAS)),
+)
+
+
+@st.composite
+def plain_architectures(draw):
+    """A plain architecture whose members may hold self-transfers and
+    coefficients near the 64-bit limits; on a drawn flag, each TF element's
+    reflection partner is added at its target, so that sums cancel."""
+    members = draw(st.dictionaries(st.sampled_from(ORACLE_ENTITIES),
+                                   st.dictionaries(LOCAL_ELEMENTS, COEFFS, max_size=4),
+                                   max_size=3))
+    if draw(st.booleans()):
+        partners: dict[str, dict[Generator, int]] = {}
+        for entity, terms in members.items():
+            for g, c in terms.items():
+                if g.alpha == ALPHA_TF and g.target != entity:
+                    flipped = CLIENT if g.polarity == SERVICE else SERVICE
+                    partner = Generator(entity, g.action, g.motive, flipped, None, g.alpha)
+                    at = partners.setdefault(g.target, {})
+                    at[partner] = at.get(partner, 0) + c
+        for entity, terms in partners.items():
+            at = members.setdefault(entity, {})
+            for g, c in terms.items():
+                at[g] = at.get(g, 0) + c
+    return Architecture("A", [
+        (entity, Interface({g: c for g, c in terms.items() if I64_MIN <= c <= I64_MAX}))
+        for entity, terms in members.items()])
+
+
+def plain_outcome(fn):
+    """The value of ``fn()``, or the type and text of what it raised."""
+    try:
+        return ("value", fn())
+    except (OverflowError, ValueError) as exc:
+        return ("raised", type(exc), str(exc))
+
+
+class TestPlainClosednessOracle:
+    """The one-pass plain check against the staged globalize, sum, expand
+    and reduce: equal reports, or the same first error."""
+
+    @given(a=plain_architectures(),
+           missing=st.sampled_from((None, "all", *ORACLE_ENTITIES)))
+    @settings(max_examples=400, deadline=None)
+    def test_plain_check_equals_staged_check(self, a, missing):
+        catalog = None
+        if missing is not None:
+            catalog = Catalog()
+            for entity in ORACLE_ENTITIES:
+                if entity != missing:
+                    catalog.add_entity(entity)
+        fused = plain_outcome(lambda: check_closed(a, catalog).plain)
+        staged = plain_outcome(lambda: is_closed(global_sum(a, catalog=catalog)))
+        assert fused == staged
 
 
 class TestDiff:

@@ -141,6 +141,27 @@ class TestCheck:
         assert code == 2
         assert f"{bad}:2:3" in err
 
+    # a comment after a bare, negated or scaled 0 has no element to attach
+    # to; after (0) or a conditional's |> 0 it attaches to that node
+    @pytest.mark.parametrize("body, column", [
+        ("0 %[c%]", 15), ("-0 %[c%]", 16), ("2 x 0 %[c%]", 19), ("e.a(m) + 0 %[c%]", 24),
+    ])
+    def test_comment_after_zero_is_a_parse_error(self, capsys, tmp_path, body, column):
+        spec = tmp_path / "zero.fti"
+        spec.write_text("entity e\naction a\nmotive m\ncondition v\n"
+                        f"interface I {{ {body} }}\n")
+        code, out, err = invoke(capsys, "check", str(spec))
+        assert code == 2 and out == ""
+        assert err == f"error: {spec}:5:{column}: comment does not follow an interface element\n"
+
+    @pytest.mark.parametrize("body", ["(0) %[c%]", "e.a(m) <| v |> 0 %[c%]"])
+    def test_comment_after_zero_node_is_accepted(self, capsys, tmp_path, body):
+        spec = tmp_path / "zero.fti"
+        spec.write_text("entity e\naction a\nmotive m\ncondition v\n"
+                        f"interface I {{ {body} }}\n")
+        code, out, _ = invoke(capsys, "check", str(spec))
+        assert code == 0 and out == "OK\n"
+
     def test_directives_run_and_fail_with_exit_1(self, capsys, tmp_path):
         spec = tmp_path / "open.fti"
         spec.write_text("entity e1\nentity e2\naction a\nmotive m\n"
@@ -432,6 +453,23 @@ class TestArithmeticContract:
         code, out, err = invoke(capsys, "closed", "Big", str(spec))
         assert code == 3 and out == ""
         assert err == "error: coefficient 9223372036854775808 exceeds 64-bit signed range\n"
+
+    # the plain check adds every member's reduced terms in one pass only
+    # while the magnitudes of all atom occurrences sum to at most MAX; above
+    # that it runs the staged sum, expansion and reduction and their first error
+    @pytest.mark.parametrize("members, code, out, err", [
+        (f"e1 : {MAX} x e2.a(m + m)", 3, "",
+         "error: coefficient 18446744073709551614 exceeds 64-bit signed range\n"),
+        (f"e1 : {MAX} x e2.a(m), e2 : -{MAX} x ~e1.a(m)", 3, "",
+         "error: coefficient 18446744073709551614 exceeds 64-bit signed range\n"),
+        (f"e1 : {MAX} x e2.a(m + m), e2 : {MAX} x ~e1.a(m + m)", 3, "",
+         "error: coefficient 18446744073709551614 exceeds 64-bit signed range\n"),
+        (f"e1 : {MAX} x e2.a(m), e2 : {MAX} x ~e1.a(m)", 0, "CLOSED\n", ""),
+    ], ids=["expansion", "reduction", "cancelling-after-overflow", "cancelling"])
+    def test_plain_closed_overflow(self, capsys, tmp_path, members, code, out, err):
+        spec = tmp_path / "big.fti"
+        spec.write_text(HEADER + f"architecture A {{ {members} }}\n")
+        assert invoke(capsys, "closed", "A", str(spec)) == (code, out, err)
 
     @pytest.mark.parametrize("body, first, second", [
         ("e2.a(m) + e2.a(m)@e1", "local", "global"),
