@@ -6,11 +6,11 @@ hosts each member interface at its entity; the architecture is closed when
 that sum vanishes modulo reflection (under every condition assignment, if
 members carry conditional branches).
 
-The plain check composes hosting, motive expansion and reduction modulo
-reflection into one image per member term and adds the images in one pass;
-when the coefficients are large enough that some partial sum could
-overflow, it runs the three stages one after another instead, so the first
-error is theirs.
+The plain check reduces the members in one pass
+(``reflection.reduce_hosted``); when the coefficients are large enough
+that some partial sum could overflow, it runs hosting, the sum, motive
+expansion and reduction one after another instead, so the first error is
+theirs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .catalog import Catalog
 from .errors import LogFormatError, ScopeError
 from .locglob import globalize, require_entity
 from .record import Record
-from .reflection import ClosednessReport, Residual, is_closed
+from .reflection import ClosednessReport, is_closed, reduce_hosted
 from .transform import (
     AssignmentReport, ConditionalInterface, closed_under_all_assignments, conditional_sum,
     eval_conditional, expand_motives, map_parts, plain_if_possible,
@@ -136,51 +136,26 @@ class ArchitectureReport(Record):
 def check_closed(arch: Architecture, catalog: Catalog | None = None) -> ArchitectureReport:
     """Zero-sum check; enumerates condition assignments when needed.
 
-    A plain architecture is checked in one pass (see ``_plain_closedness``),
-    with the value and first error of ``is_closed(global_sum(arch))``.
+    A plain architecture is reduced in one pass by
+    ``reflection.reduce_hosted``, with the value and first error of
+    ``is_closed(global_sum(arch, catalog=catalog))``: when the absolute
+    coefficients, counted once per atom occurrence, sum to more than
+    ``I64_MAX``, some partial sum could overflow, so that staged path runs
+    instead and raises its first error.
     """
     if arch.has_conditionals:
         report = closed_under_all_assignments(_conditional_global_sum(arch, catalog))
         return ArchitectureReport(arch.name, report.closed, conditional=report)
-    report = _plain_closedness(arch, catalog)
-    return ArchitectureReport(arch.name, report.closed, plain=report)
-
-
-def _plain_closedness(arch: Architecture, catalog: Catalog | None) -> ClosednessReport:
-    """``is_closed(global_sum(arch, catalog=catalog))`` for a plain architecture.
-
-    Hosting at the member's entity, splitting the motive into atoms and
-    reduction modulo reflection compose into one image per member term: a
-    non-TF term keeps its polarity and sign, a TF self-transfer and a term
-    with the zero motive vanish, and a TF client term becomes minus its
-    service partner.  The images are added into one dict keyed by the
-    field tuple in ``Generator``'s argument order, and only the nonzero
-    residual terms become generators.  With ``magnitude``, the sum of
-    ``abs(coeff)`` over every atom occurrence, at most ``I64_MAX``, no
-    partial sum of either path can overflow; above it, the staged path
-    runs instead and raises its first error.
-    """
-    acc: dict[tuple, int] = {}
-    magnitude = 0
     for member in arch.members:
-        entity = member.entity
-        require_entity(entity, catalog)
-        for gen, coeff in member.interface:
-            target, action, motive, polarity, host, alpha = (
-                gen.target, gen.action, gen.motive, gen.polarity, entity, gen.alpha)
-            magnitude += abs(coeff) * len(motive)
-            if alpha == ALPHA_TF:
-                if target == entity:
-                    continue
-                if polarity == CLIENT:
-                    target, polarity, host, coeff = entity, SERVICE, target, -coeff
-            for atom in motive:
-                key = (target, action, (atom,), polarity, host, alpha)
-                acc[key] = acc.get(key, 0) + coeff
+        require_entity(member.entity, catalog)
+    magnitude = sum(abs(c) * len(g.motive) for member in arch.members
+                    for g, c in member.interface)
     if magnitude > I64_MAX:
-        return is_closed(global_sum(arch, catalog=catalog))
-    canonical = Interface({Generator(*key): coeff for key, coeff in acc.items() if coeff})
-    return ClosednessReport.of(Residual.of(canonical))
+        report = is_closed(global_sum(arch, catalog=catalog))
+    else:
+        report = ClosednessReport.of(
+            reduce_hosted((member.entity, member.interface) for member in arch.members))
+    return ArchitectureReport(arch.name, report.closed, plain=report)
 
 
 def diff(a: Architecture, b: Architecture) -> tuple[tuple[str, Interface], ...]:

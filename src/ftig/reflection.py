@@ -10,13 +10,39 @@ when the residual is zero.
 
 Elements with a reply constraint other than TF have no cancellation rule;
 they pass through unchanged and are reported as non-cancellable.
+
+``reflect_fields`` states these rules once, on an element's fields; both
+``reflect_generator`` and ``reduce_hosted``, the one-pass reduction of an
+architecture's hosted members, apply it.
 """
 
 from __future__ import annotations
 
-from .algebra import ALPHA_TF, CLIENT, LOCAL, Generator, Interface, induced, render_motive
+from collections.abc import Iterable
+
+from .algebra import (
+    ALPHA_TF, CLIENT, LOCAL, SERVICE, Generator, Interface, induced, render_motive,
+)
 from .errors import ScopeError
 from .record import Record
+
+
+def reflect_fields(target: str, polarity: str, host: str,
+                   alpha: str) -> tuple[str, str, str, int] | None:
+    """The reflection law on the fields of one global element.
+
+    Returns the canonical element's ``(target, polarity, host)`` and the
+    sign it carries, or ``None`` for a TF self-transfer, which vanishes.  A
+    TF client element becomes minus its service partner (target and host
+    swapped); every other element is already canonical.
+    """
+    if alpha != ALPHA_TF:
+        return target, polarity, host, 1
+    if target == host:
+        return None
+    if polarity == CLIENT:
+        return host, SERVICE, target, -1
+    return target, polarity, host, 1
 
 
 def reflect_generator(gen: Generator) -> tuple[Generator, int] | None:
@@ -30,13 +56,13 @@ def reflect_generator(gen: Generator) -> tuple[Generator, int] | None:
     """
     if gen.is_local:
         raise ScopeError("reflection is defined on global elements only")
-    if gen.alpha != ALPHA_TF:
-        return (gen, 1)
-    if gen.is_self_loop:
+    fields = reflect_fields(gen.target, gen.polarity, gen.host, gen.alpha)
+    if fields is None:
         return None
-    if gen.polarity == CLIENT:
-        return (gen.reflection_partner(), -1)
-    return (gen, 1)
+    target, polarity, host, sign = fields
+    if sign == 1:
+        return (gen, 1)
+    return (Generator(target, gen.action, gen.motive, polarity, host, gen.alpha), -1)
 
 
 class Residual(Record):
@@ -82,6 +108,32 @@ def reduce_modulo_reflection(iface: Interface) -> Residual:
 def _reflected(gen: Generator) -> tuple[tuple[Generator, int], ...]:
     term = reflect_generator(gen)
     return () if term is None else (term,)
+
+
+def reduce_hosted(members: Iterable[tuple[str, Interface]]) -> Residual:
+    """The residual of the sum of local interfaces, each hosted at its
+    entity, with motives split into atoms.
+
+    Equal to ``reduce_modulo_reflection`` of ``expand_motives`` of the sum
+    of ``globalize(entity, iface)``, but the three generator maps compose
+    into one image per member term, the images add into one dict keyed by
+    the field tuple in ``Generator``'s argument order, and a ``Generator``
+    is built only for each nonzero residual term.  Partial sums are not
+    range-checked: a caller that wants the staged path's first overflow
+    error runs that path when the summed magnitudes could exceed 64 bits.
+    """
+    acc: dict[tuple, int] = {}
+    for entity, iface in members:
+        for gen, coeff in iface:
+            fields = reflect_fields(gen.target, gen.polarity, entity, gen.alpha)
+            if fields is None:
+                continue
+            target, polarity, host, sign = fields
+            action, alpha, coeff = gen.action, gen.alpha, sign * coeff
+            for atom in gen.motive:
+                key = (target, action, (atom,), polarity, host, alpha)
+                acc[key] = acc.get(key, 0) + coeff
+    return Residual.of(Interface({Generator(*key): c for key, c in acc.items() if c}))
 
 
 class ClosednessReport(Record):

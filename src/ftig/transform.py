@@ -4,9 +4,9 @@ All of these are group homomorphisms: motive expansion, entity refinement,
 annihilation of designated elements, and catalog renaming.  A homomorphism
 out of the free interface group is fixed by its image of each generator, and
 ``algebra.induced`` is the single way one is built from that image (here, and
-for ``globalize`` and ``reduce_modulo_reflection``); only the plain
-closedness check in ``architecture`` composes hosting, expansion and
-reduction by hand, on field tuples, for speed.  Conditional
+for ``globalize`` and ``reduce_modulo_reflection``); only
+``reflection.reduce_hosted``, the plain closedness check, composes hosting,
+expansion and reduction by hand on field tuples, for speed.  Conditional
 interfaces attach branches guarded by boolean condition literals.  The
 all-assignments check reports closedness under every truth assignment.
 Reduction modulo reflection is a homomorphism too, so it reduces the

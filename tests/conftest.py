@@ -3,7 +3,6 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
 from hypothesis import strategies as st
 
 import ftig
@@ -13,10 +12,6 @@ from ftig.algebra import (
 from ftig.errors import ScopeError
 
 FIXTURES = Path(__file__).parent / "fixtures"
-
-# `pytest --hypothesis-profile=ci` prints, for each failing example, the
-# @reproduce_failure blob that replays it
-settings.register_profile("ci", print_blob=True)
 
 # the directory holding the ftig package this suite imported
 FTIG_SRC = Path(ftig.__file__).resolve().parents[1]

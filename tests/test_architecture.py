@@ -103,6 +103,7 @@ class TestCheckClosed:
             x = random_monoid_interface(rng)
             matched = x + Interface((g.reflection_partner(), c) for g, c in x)
             spec = RefinementSpec("e2", ("e2a", "e2b"))
+            from ftig.reflection import is_closed
             assert is_closed(refine(matched, spec)).closed
 
 

@@ -141,27 +141,6 @@ class TestCheck:
         assert code == 2
         assert f"{bad}:2:3" in err
 
-    # a comment after a bare, negated or scaled 0 has no element to attach
-    # to; after (0) or a conditional's |> 0 it attaches to that node
-    @pytest.mark.parametrize("body, column", [
-        ("0 %[c%]", 15), ("-0 %[c%]", 16), ("2 x 0 %[c%]", 19), ("e.a(m) + 0 %[c%]", 24),
-    ])
-    def test_comment_after_zero_is_a_parse_error(self, capsys, tmp_path, body, column):
-        spec = tmp_path / "zero.fti"
-        spec.write_text("entity e\naction a\nmotive m\ncondition v\n"
-                        f"interface I {{ {body} }}\n")
-        code, out, err = invoke(capsys, "check", str(spec))
-        assert code == 2 and out == ""
-        assert err == f"error: {spec}:5:{column}: comment does not follow an interface element\n"
-
-    @pytest.mark.parametrize("body", ["(0) %[c%]", "e.a(m) <| v |> 0 %[c%]"])
-    def test_comment_after_zero_node_is_accepted(self, capsys, tmp_path, body):
-        spec = tmp_path / "zero.fti"
-        spec.write_text("entity e\naction a\nmotive m\ncondition v\n"
-                        f"interface I {{ {body} }}\n")
-        code, out, _ = invoke(capsys, "check", str(spec))
-        assert code == 0 and out == "OK\n"
-
     def test_directives_run_and_fail_with_exit_1(self, capsys, tmp_path):
         spec = tmp_path / "open.fti"
         spec.write_text("entity e1\nentity e2\naction a\nmotive m\n"
