@@ -18,20 +18,18 @@ class ZeroExpr(ExprNode):
 
 
 class RefExpr(ExprNode):
-    __slots__ = ("name", "comments")
+    __slots__ = ("name",)
 
-    def __init__(self, pos: SourcePosition, name: str, comments: tuple[str, ...] = ()):
+    def __init__(self, pos: SourcePosition, name: str):
         self.pos = pos
         self.name = name
-        self.comments = comments
 
 
 class GenExpr(ExprNode):
-    __slots__ = ("polarity", "target", "action", "motive", "host", "alpha", "comments")
+    __slots__ = ("polarity", "target", "action", "motive", "host", "alpha")
 
     def __init__(self, pos: SourcePosition, polarity: str, target: str, action: str,
-                 motive: tuple[str, ...], host: str | None, alpha: str,
-                 comments: tuple[str, ...] = ()):
+                 motive: tuple[str, ...], host: str | None, alpha: str):
         self.pos = pos
         self.polarity = polarity
         self.target = target
@@ -39,7 +37,6 @@ class GenExpr(ExprNode):
         self.motive = motive      # atom names in written order; () is the zero motive
         self.host = host
         self.alpha = alpha
-        self.comments = comments
 
 
 class NegExpr(ExprNode):
@@ -68,26 +65,16 @@ class SumExpr(ExprNode):
         self.parts = parts
 
 
-class ParenExpr(ExprNode):
-    __slots__ = ("inner", "comments")
-
-    def __init__(self, pos: SourcePosition, inner: ExprNode, comments: tuple[str, ...] = ()):
-        self.pos = pos
-        self.inner = inner
-        self.comments = comments
-
-
 class CondExpr(ExprNode):
-    __slots__ = ("then", "variable", "negated", "otherwise", "comments")
+    __slots__ = ("then", "variable", "negated", "otherwise")
 
     def __init__(self, pos: SourcePosition, then: ExprNode, variable: str, negated: bool,
-                 otherwise: ExprNode, comments: tuple[str, ...] = ()):
+                 otherwise: ExprNode):
         self.pos = pos
         self.then = then
         self.variable = variable
         self.negated = negated
         self.otherwise = otherwise
-        self.comments = comments
 
 
 class Item(Record):
@@ -187,14 +174,6 @@ class RenameDef(Item):
         self.entity_map = entity_map
         self.action_map = action_map
         self.motive_map = motive_map
-
-
-class StandaloneComment(Item):
-    __slots__ = ("text",)
-
-    def __init__(self, pos: SourcePosition, text: str):
-        self.pos = pos
-        self.text = text
 
 
 class SpecModule(Record):

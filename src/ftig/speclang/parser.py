@@ -4,8 +4,10 @@ Binding strength follows the notation: ``.`` forms the element, ``~``
 flips it to the incoming side, ``@`` attaches the host, ``/`` the reply
 constraint; unary ``-`` inverts one element or group, and ``+``/``-``
 combine loosest.  ``n x`` before an element or parenthesized group sets a
-multiplicity.  A comment attaches to the element it directly follows,
-even when a ``+``/``-`` sign intervenes (as in hand-written listings).
+multiplicity.  A comment is dropped.  It may stand between declarations
+and after any part of a sum, even when a ``+``/``-`` sign intervenes (as
+in hand-written listings), but not directly after a bare, negated or
+scaled ``0``; after ``(0)`` or a conditional's ``|> 0`` it may.
 """
 
 from __future__ import annotations
@@ -14,26 +16,14 @@ from ..algebra import ALPHAS
 from ..errors import ParseError
 from .astnodes import (
     ArchMemberDef, ArchitectureDef, CheckDirective, CondExpr, EntityItem, ExprNode,
-    GenExpr, InterfaceDef, NameItem, NegExpr, ParenExpr, RefExpr, RefineDef, RenameDef,
-    ScaleExpr, SpecModule, StandaloneComment, SumExpr, ZeroExpr,
+    GenExpr, InterfaceDef, NameItem, NegExpr, RefExpr, RefineDef, RenameDef,
+    ScaleExpr, SpecModule, SumExpr, ZeroExpr,
 )
 from .lexer import Tokens, tokenize
 
 # what a bare declaration's keyword expects next
 _NAME_WHAT = {"action": "action name", "motive": "motive name",
               "condition": "condition variable name"}
-
-
-def _attach_comment(node: ExprNode, text: str) -> ExprNode:
-    if isinstance(node, (NegExpr, ScaleExpr)):
-        return node.replace(inner=_attach_comment(node.inner, text))
-    if isinstance(node, SumExpr):
-        sign, last = node.parts[-1]
-        parts = node.parts[:-1] + ((sign, _attach_comment(last, text)),)
-        return node.replace(parts=parts)
-    if hasattr(node, "comments"):
-        return node.replace(comments=node.comments + (text,))
-    raise ParseError("comment does not follow an interface element", node.pos)
 
 
 class Parser:
@@ -75,15 +65,15 @@ class Parser:
     def parse_module(self) -> SpecModule:
         module = SpecModule()
         while self.peek() != "EOF":
-            module.items.append(self.parse_item())
+            if self.peek() == "COMMENT":
+                self.i += 1
+            else:
+                module.items.append(self.parse_item())
         return module
 
     def parse_item(self):
         i = self.i
         kind = self.kinds[i]
-        if kind == "COMMENT":
-            self.i = i + 1
-            return StandaloneComment(self.pos(i), self.texts[i])
         if kind == "entity":
             return self.parse_entity(extern=False)
         if kind == "extern":
@@ -240,21 +230,29 @@ class Parser:
         kinds = self.kinds
         start = self.i
         parts: list[tuple[int, ExprNode]] = [(1, self.parse_factor())]
-        self._slurp_comments(parts)
+        end = self.i - 1
+        self._skip_comments(end)
         while kinds[self.i] in ("PLUS", "MINUS"):
             sign = 1 if kinds[self.next()] == "PLUS" else -1
-            self._slurp_comments(parts)
+            self._skip_comments(end)
             parts.append((sign, self.parse_factor()))
-            self._slurp_comments(parts)
+            end = self.i - 1
+            self._skip_comments(end)
         if len(parts) == 1 and parts[0][0] == 1:
             return parts[0][1]
         return SumExpr(self.pos(start), tuple(parts))
 
-    def _slurp_comments(self, parts: list[tuple[int, ExprNode]]):
-        while self.kinds[self.i] == "COMMENT":
-            text = self.texts[self.next()]
-            sign, node = parts[-1]
-            parts[-1] = (sign, _attach_comment(node, text))
+    def _skip_comments(self, end: int):
+        """Skips the comments after the factor whose last token is ``end``.
+        Only a bare, negated or scaled ``0`` ends in an ``INT`` that no
+        ``|>`` precedes, and no comment may follow it."""
+        kinds = self.kinds
+        if kinds[self.i] != "COMMENT":
+            return
+        if kinds[end] == "INT" and kinds[end - 1] != "CONDR":
+            raise self.error("comment does not follow an interface element", end)
+        while kinds[self.i] == "COMMENT":
+            self.i += 1
 
     def parse_factor(self) -> ExprNode:
         i = self.i
@@ -304,7 +302,7 @@ class Parser:
             self.i = i + 1
             inner = self.parse_expr()
             self.expect("RPAREN")
-            return ParenExpr(self.pos(i), inner)
+            return inner
         if kind == "TILDE":
             self.i = i + 1
             name = self.expect("IDENT", "entity name after ~")

@@ -20,7 +20,7 @@ from ..transform import (
     conditional_sum, expand_motives, map_parts, plain_if_possible, refine, rename,
 )
 from .astnodes import (
-    CheckDirective, CondExpr, EntityItem, GenExpr, NameItem, NegExpr, ParenExpr, RefExpr,
+    CheckDirective, CondExpr, EntityItem, GenExpr, NameItem, NegExpr, RefExpr,
     RefineDef, RenameDef, ScaleExpr, SpecModule, SumExpr, ZeroExpr,
 )
 from .parser import parse_expression
@@ -225,8 +225,6 @@ class _Evaluator:
             return _scaled(self.eval(node.inner), -1)
         if isinstance(node, ScaleExpr):
             return _scaled(self.eval(node.inner), node.factor)
-        if isinstance(node, ParenExpr):
-            return self.eval(node.inner)
         if isinstance(node, CondExpr):
             self._check_name("condition", node.variable, node.pos)
             then = self.eval(node.then)

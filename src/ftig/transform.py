@@ -182,10 +182,6 @@ class ConditionalInterface:
         return self._branches
 
     @property
-    def is_plain(self) -> bool:
-        return not self._branches
-
-    @property
     def scope(self) -> str | None:
         for scope in (self._unconditional.scope, *(i.scope for _, i in self._branches)):
             if scope is not None:

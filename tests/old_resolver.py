@@ -7,7 +7,10 @@ conditional machinery, kept as the oracle for
 ``_eval_signed`` and ``eval``) with the copies, and keeps its constructor,
 diagnostics and name checks.  ``resolve`` and ``evaluate_expression_text``
 are the copies that turned plain results back into ``Interface`` at the end.
-Only the imports and the evaluator's class name are changed.  ``resolve``
+Only the imports and the evaluator's class name are changed, and each
+``value.is_plain`` of the deleted ``ConditionalInterface`` property reads
+``is_plain(value)``, a one-line helper below.  The ``ParenExpr`` branch of
+``eval`` is gone with the node: today's parser never builds one.  ``resolve``
 reports an overflow in merging an architecture's repeated listings as a
 diagnostic, and hands the evaluator's record of looked-up names to its
 ``Resolution`` for ``lint``, as today's ``resolve`` does; the oracle is
@@ -21,7 +24,7 @@ from ftig.architecture import Architecture
 from ftig.catalog import Catalog
 from ftig.errors import ScopeError
 from ftig.speclang.astnodes import (
-    CondExpr, GenExpr, NegExpr, ParenExpr, RefExpr, RefineDef, RenameDef,
+    CondExpr, GenExpr, NegExpr, RefExpr, RefineDef, RenameDef,
     ScaleExpr, SpecModule, SumExpr, ZeroExpr,
 )
 from ftig.speclang.parser import parse_expression
@@ -30,6 +33,10 @@ from ftig.transform import (
     ConditionalInterface, ConditionLiteral, RefinementSpec, RenameMap,
     conditional_sum, expand_motives, refine, rename,
 )
+
+
+def is_plain(value: ConditionalInterface) -> bool:
+    return not value.branches
 
 
 class OldEvaluator(_Evaluator):
@@ -66,7 +73,7 @@ class OldEvaluator(_Evaluator):
 
     def _plain_source(self, item) -> Interface:
         source = self.resolve_name(item.source, item.pos)
-        if not source.is_plain:
+        if not is_plain(source):
             raise ValueError(f"{item.source} is conditional and cannot be transformed")
         return source.unconditional
 
@@ -120,8 +127,6 @@ class OldEvaluator(_Evaluator):
             return self.eval(node.inner).map_interfaces(lambda i: -i)
         if isinstance(node, ScaleExpr):
             return self.eval(node.inner).map_interfaces(lambda i: node.factor * i)
-        if isinstance(node, ParenExpr):
-            return self.eval(node.inner)
         if isinstance(node, SumExpr):
             # a generator, so each part is evaluated just before it is added
             return conditional_sum(self._eval_signed(sign, part) for sign, part in node.parts)
@@ -129,7 +134,7 @@ class OldEvaluator(_Evaluator):
             self._check_name("condition", node.variable, node.pos)
             then = self.eval(node.then)
             otherwise = self.eval(node.otherwise)
-            if not then.is_plain or not otherwise.is_plain:
+            if not is_plain(then) or not is_plain(otherwise):
                 self.error("conditional elements cannot nest", node.pos)
                 return ConditionalInterface()
             branches = []
@@ -152,7 +157,7 @@ def resolve(module: SpecModule, allow_undeclared: bool = False) -> Resolution:
     res = Resolution(module, catalog, looked_up=evaluator.looked_up)
     res.diagnostics.extend(diags)
     for name, value in evaluator.values.items():
-        res.interfaces[name] = value.unconditional if value.is_plain else value
+        res.interfaces[name] = value.unconditional if is_plain(value) else value
     for item in module.interface_defs():
         if item.monoid:
             res.monoid_names.add(item.name)
@@ -214,4 +219,4 @@ def evaluate_expression_text(text: str):
     hard = [d for d in evaluator.diagnostics if d.severity == "error"]
     if hard:
         raise ValueError(hard[0].render())
-    return value.unconditional if value.is_plain else value
+    return value.unconditional if is_plain(value) else value

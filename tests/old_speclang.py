@@ -10,6 +10,13 @@ change is three functions named after the deleted ``ActionItem``,
 ``MotiveItem`` and ``ConditionItem`` classes, taking the same arguments
 and returning the matching ``NameItem``, so the parser below builds
 today's nodes unchanged.
+
+The syntax tree no longer keeps comments or parentheses, so the oracle
+keeps local copies of the node shapes that held them: ``RefExpr``,
+``GenExpr`` and ``CondExpr`` with their ``comments`` field, ``ParenExpr``
+and ``StandaloneComment``.  ``TestFrontEndOracle`` compares today's tree
+with this parser's once the comments, the parentheses and the
+``StandaloneComment`` items are removed.
 """
 
 from __future__ import annotations
@@ -18,11 +25,66 @@ from dataclasses import dataclass
 
 from ftig.errors import ParseError, SourcePosition
 from ftig.speclang.astnodes import (
-    ArchMemberDef, ArchitectureDef, CheckDirective, CondExpr,
-    EntityItem, ExprNode, GenExpr, InterfaceDef, NameItem,
-    NegExpr, ParenExpr, RefExpr, RefineDef, RenameDef, ScaleExpr, SpecModule,
-    StandaloneComment, SumExpr, ZeroExpr,
+    ArchMemberDef, ArchitectureDef, CheckDirective,
+    EntityItem, ExprNode, InterfaceDef, Item, NameItem,
+    NegExpr, RefineDef, RenameDef, ScaleExpr, SpecModule,
+    SumExpr, ZeroExpr,
 )
+
+
+class RefExpr(ExprNode):
+    __slots__ = ("name", "comments")
+
+    def __init__(self, pos: SourcePosition, name: str, comments: tuple[str, ...] = ()):
+        self.pos = pos
+        self.name = name
+        self.comments = comments
+
+
+class GenExpr(ExprNode):
+    __slots__ = ("polarity", "target", "action", "motive", "host", "alpha", "comments")
+
+    def __init__(self, pos: SourcePosition, polarity: str, target: str, action: str,
+                 motive: tuple[str, ...], host: str | None, alpha: str,
+                 comments: tuple[str, ...] = ()):
+        self.pos = pos
+        self.polarity = polarity
+        self.target = target
+        self.action = action
+        self.motive = motive      # atom names in written order; () is the zero motive
+        self.host = host
+        self.alpha = alpha
+        self.comments = comments
+
+
+class ParenExpr(ExprNode):
+    __slots__ = ("inner", "comments")
+
+    def __init__(self, pos: SourcePosition, inner: ExprNode, comments: tuple[str, ...] = ()):
+        self.pos = pos
+        self.inner = inner
+        self.comments = comments
+
+
+class CondExpr(ExprNode):
+    __slots__ = ("then", "variable", "negated", "otherwise", "comments")
+
+    def __init__(self, pos: SourcePosition, then: ExprNode, variable: str, negated: bool,
+                 otherwise: ExprNode, comments: tuple[str, ...] = ()):
+        self.pos = pos
+        self.then = then
+        self.variable = variable
+        self.negated = negated
+        self.otherwise = otherwise
+        self.comments = comments
+
+
+class StandaloneComment(Item):
+    __slots__ = ("text",)
+
+    def __init__(self, pos: SourcePosition, text: str):
+        self.pos = pos
+        self.text = text
 
 
 def ActionItem(pos, name, extern=False):

@@ -337,7 +337,7 @@ class TestConditionalSumOracle:
         want = outcome(pairwise_conditional_sum, parts)
         assert outcome(lambda: parts_of(conditional_sum(iter(parts)))) == want
         # a part without branches may be passed as its plain Interface
-        unwrapped = [p.unconditional if p.is_plain else p for p in parts]
+        unwrapped = [p if p.branches else p.unconditional for p in parts]
         assert outcome(lambda: parts_of(conditional_sum(iter(unwrapped)))) == want
 
     def test_branches_cancel_and_scope_frees(self):

@@ -18,8 +18,8 @@ from ftig.locglob import Decomposition
 from ftig.reflection import ClosednessReport, Residual
 from ftig.speclang.astnodes import (
     ArchitectureDef, ArchMemberDef, CheckDirective, CondExpr, EntityItem, ExprNode,
-    GenExpr, InterfaceDef, Item, NameItem, NegExpr, ParenExpr, RefExpr, RefineDef,
-    RenameDef, ScaleExpr, SpecModule, StandaloneComment, SumExpr, ZeroExpr,
+    GenExpr, InterfaceDef, Item, NameItem, NegExpr, RefExpr, RefineDef,
+    RenameDef, ScaleExpr, SpecModule, SumExpr, ZeroExpr,
 )
 from ftig.speclang.resolver import Diagnostic, Resolution
 from ftig.transform import (
@@ -33,7 +33,7 @@ def pos(line=1, col=1):
 
 def gen_expr():
     return GenExpr(pos=pos(), polarity="service", target="e", action="a", motive=("m",),
-                   host=None, alpha="TF", comments=("c",))
+                   host=None, alpha="TF")
 
 
 def closed_report():
@@ -45,14 +45,13 @@ RECORDS = {
     # speclang.astnodes
     ExprNode: lambda: ExprNode(pos=pos()),
     ZeroExpr: lambda: ZeroExpr(pos=pos()),
-    RefExpr: lambda: RefExpr(pos=pos(), name="I", comments=("c",)),
+    RefExpr: lambda: RefExpr(pos=pos(), name="I"),
     GenExpr: gen_expr,
     NegExpr: lambda: NegExpr(pos=pos(), inner=gen_expr()),
     ScaleExpr: lambda: ScaleExpr(pos=pos(), factor=2, inner=gen_expr()),
     SumExpr: lambda: SumExpr(pos=pos(), parts=((1, gen_expr()), (-1, ZeroExpr(pos(2))))),
-    ParenExpr: lambda: ParenExpr(pos=pos(), inner=gen_expr(), comments=()),
     CondExpr: lambda: CondExpr(pos=pos(), then=gen_expr(), variable="c", negated=True,
-                               otherwise=ZeroExpr(pos()), comments=()),
+                               otherwise=ZeroExpr(pos())),
     Item: lambda: Item(pos=pos()),
     EntityItem: lambda: EntityItem(pos=pos(), name="e",
                                    children=(EntityItem(pos(2), "e:c"),), extern=False),
@@ -68,7 +67,6 @@ RECORDS = {
                                  parts=("p", "q")),
     RenameDef: lambda: RenameDef(pos=pos(), name="J", source="I", entity_map=(("e", "f"),),
                                  action_map=(), motive_map=(("m", "n"),)),
-    StandaloneComment: lambda: StandaloneComment(pos=pos(), text="note"),
     SpecModule: lambda: SpecModule(items=[NameItem(pos(), "condition", "c")]),
     # architecture
     ArchMember: lambda: ArchMember(entity="e", interface=ConditionalInterface(
@@ -120,14 +118,14 @@ FRESH_DEFAULTS = {
 # a field of each record, and another value for it
 REPLACEMENTS = {
     ExprNode: ("pos", pos(9)), ZeroExpr: ("pos", pos(9)), RefExpr: ("name", "J"),
-    GenExpr: ("comments", ("c", "d")), NegExpr: ("inner", ZeroExpr(pos())),
-    ScaleExpr: ("factor", 3), SumExpr: ("parts", ()), ParenExpr: ("comments", ("x",)),
+    GenExpr: ("motive", ("m", "n")), NegExpr: ("inner", ZeroExpr(pos())),
+    ScaleExpr: ("factor", 3), SumExpr: ("parts", ()),
     CondExpr: ("negated", False), Item: ("pos", pos(9)), EntityItem: ("extern", True),
     NameItem: ("kind", "motive"),
     InterfaceDef: ("monoid", True), ArchMemberDef: ("entity", "f"),
     ArchitectureDef: ("members", ()), CheckDirective: ("target", "B"),
     RefineDef: ("parts", ("r",)), RenameDef: ("action_map", (("a", "b"),)),
-    StandaloneComment: ("text", "other"), SpecModule: ("items", []),
+    SpecModule: ("items", []),
     ArchMember: ("contained", False), ArchitectureReport: ("architecture", "B"),
     TransferEvent: ("reply", "F"), Violation: ("index", 4),
     ComplianceReport: ("warnings", (Violation(1, "unmatched-incoming", "incoming", "f"),)),
@@ -142,7 +140,7 @@ REPLACEMENTS = {
 
 
 def test_every_record_class_is_covered():
-    assert len(RECORDS) == 37
+    assert len(RECORDS) == 35
     assert REPLACEMENTS.keys() == RECORDS.keys()
 
 
@@ -178,7 +176,7 @@ def test_replace_one_field(cls):
 
 def test_other_fields_kept_by_replace():
     assert gen_expr().replace(alpha="T") == GenExpr(
-        pos(), "service", "e", "a", ("m",), None, "T", ("c",))
+        pos(), "service", "e", "a", ("m",), None, "T")
     assert Generator("f", "a", "m").replace(host="e") == service(
         "f", "a", "m", host="e")
 
@@ -203,8 +201,7 @@ def test_resolution_defaults_are_fresh():
     (NameItem(pos(), "action", "a"), NameItem(pos(), "motive", "a")),
     (ZeroExpr(pos()), Item(pos())),
     (ExprNode(pos()), ZeroExpr(pos())),
-    (ParenExpr(pos(), ZeroExpr(pos())), NegExpr(pos(), ZeroExpr(pos()))),
-], ids=["action-motive", "zero-item", "node-zero", "paren-neg"])
+], ids=["action-motive", "zero-item", "node-zero"])
 def test_classes_with_equal_fields_differ(one, other):
     assert one != other
     assert other != one
@@ -225,7 +222,7 @@ def test_unhashable_records(cls):
 
 
 def test_keyword_and_positional_construction_agree():
-    assert GenExpr(pos(), "service", "e", "a", ("m",), None, "TF", ("c",)) == gen_expr()
+    assert GenExpr(pos(), "service", "e", "a", ("m",), None, "TF") == gen_expr()
     assert Generator("f", "a", ("m",), "client", "e", "T") == RECORDS[Generator]()
     assert Diagnostic("warning", "unused", pos()) == RECORDS[Diagnostic]()
     assert TransferEvent("e", "f", "a", "m", "T") == RECORDS[TransferEvent]()
@@ -274,10 +271,10 @@ def test_validation_messages(make, message):
 def test_reprs():
     assert repr(gen_expr()) == (
         "GenExpr(pos=SourcePosition(1, 1, 'v.fti'), polarity='service', target='e', "
-        "action='a', motive=('m',), host=None, alpha='TF', comments=('c',))")
+        "action='a', motive=('m',), host=None, alpha='TF')")
     assert repr(GenExpr(SourcePosition(1, 1), "client", "e", "a", (), "f", "T")) == (
         "GenExpr(pos=SourcePosition(1, 1, None), polarity='client', target='e', "
-        "action='a', motive=(), host='f', alpha='T', comments=())")
+        "action='a', motive=(), host='f', alpha='T')")
     assert repr(Generator("e", "a", "m")) == (
         "Generator(target='e', action='a', motive=('m',), polarity='service', "
         "host=None, alpha='TF')")
