@@ -18,7 +18,7 @@ from .architecture import (
     check_closed, comply_events, diff, global_sum, read_event_log,
 )
 from .catalog import Catalog, EntityDecl
-from .errors import CapacityError, LogFormatError, ParseError, ScopeError
+from .errors import CapacityError, LogFormatError, ParseError, ScopeError, SpecError
 from .locglob import Decomposition, decompose, globalize, localize, recompose
 from .reflection import (
     ClosednessReport, Residual, is_closed, reduce_modulo_reflection,
@@ -39,7 +39,7 @@ __all__ = [
     "ConditionalInterface", "Decomposition", "EntityDecl", "GLOBAL",
     "Generator", "Interface", "LOCAL", "LogFormatError", "ParseError",
     "RefinementSpec", "RenameMap", "Residual", "SERVICE", "ScopeError",
-    "TransferEvent", "annihilate", "check_closed", "client",
+    "SpecError", "TransferEvent", "annihilate", "check_closed", "client",
     "closed_under_all_assignments", "comply_events", "decompose", "diff",
     "eval_conditional", "expand_motives", "global_sum", "globalize",
     "interface_sum", "is_closed", "localize", "read_event_log", "recompose",

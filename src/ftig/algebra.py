@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping
 
-from .errors import ScopeError
+from .errors import ScopeError, SpecError
 from .record import Record
 
 I64_MIN = -(2**63)
@@ -52,7 +52,7 @@ def as_motive(motive: str | Iterable[str]) -> tuple[str, ...]:
         atoms = tuple(motive)
     for atom in atoms:
         if not atom or not isinstance(atom, str):
-            raise ValueError(f"bad motive atom: {atom!r}")
+            raise SpecError(f"bad motive atom: {atom!r}")
     return tuple(sorted(atoms))
 
 
@@ -74,15 +74,15 @@ class Generator(Record):
     def __init__(self, target: str, action: str, motive: str | Iterable[str] = (),
                  polarity: str = SERVICE, host: str | None = None, alpha: str = ALPHA_TF):
         if not target:
-            raise ValueError("generator needs a target entity")
+            raise SpecError("generator needs a target entity")
         if not action:
-            raise ValueError("generator needs an action")
+            raise SpecError("generator needs an action")
         if polarity not in (SERVICE, CLIENT):
-            raise ValueError(f"bad polarity: {polarity!r}")
+            raise SpecError(f"bad polarity: {polarity!r}")
         if alpha not in ALPHAS:
-            raise ValueError(f"bad reply constraint: {alpha!r}")
+            raise SpecError(f"bad reply constraint: {alpha!r}")
         if host is not None and not host:
-            raise ValueError("empty host name")
+            raise SpecError("empty host name")
         self.target = target
         self.action = action
         self.motive = as_motive(motive)

@@ -23,7 +23,7 @@ from .algebra import (
     Generator, Interface, interface_sum,
 )
 from .catalog import Catalog
-from .errors import LogFormatError, ScopeError
+from .errors import LogFormatError, ScopeError, SpecError
 from .locglob import globalize, require_entity
 from .record import Record
 from .reflection import ClosednessReport, is_closed, reduce_hosted
@@ -81,7 +81,7 @@ def _evaluate(member: ArchMember, assignment) -> Interface:
     if not member.interface.branches:
         return member.interface
     if assignment is None:
-        raise ValueError(f"member {member.entity} is conditional; supply an assignment")
+        raise SpecError(f"member {member.entity} is conditional; supply an assignment")
     return eval_conditional(member.interface, assignment)
 
 
@@ -170,7 +170,7 @@ def _plain_member(member: ArchMember | None) -> Interface:
     if member is None:
         return Interface.zero()
     if member.interface.branches:
-        raise ValueError(f"member {member.entity} is conditional; evaluate it before diffing")
+        raise SpecError(f"member {member.entity} is conditional; evaluate it before diffing")
     return member.interface
 
 
@@ -192,7 +192,7 @@ class TransferEvent(Record):
 
     def __init__(self, source: str, destination: str, action: str, motive: str, reply: str):
         if reply not in _REPLY_VALUES:
-            raise ValueError(f"reply must be T or F, got {reply!r}")
+            raise SpecError(f"reply must be T or F, got {reply!r}")
         self.source = source
         self.destination = destination
         self.action = action
@@ -201,22 +201,29 @@ class TransferEvent(Record):
 
 
 def read_event_log(text: str) -> list[TransferEvent]:
-    """Ingest ``source,destination,action,motive,reply`` rows (header optional)."""
+    """Ingest ``source,destination,action,motive,reply`` rows (header optional).
+
+    A row that is malformed, or that the ``csv`` module cannot read (an
+    over-long field, or a NUL byte before Python 3.11), raises
+    ``LogFormatError`` naming the row."""
     events = []
-    rows = csv.reader(io.StringIO(text))
-    for row_no, row in enumerate(rows, start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        cells = [c.strip() for c in row]
-        if row_no == 1 and tuple(c.lower() for c in cells) == _LOG_HEADER:
-            continue
-        if len(cells) != 5:
-            raise LogFormatError(f"expected 5 columns, found {len(cells)}", row_no)
-        if cells[4] not in _REPLY_VALUES:
-            raise LogFormatError(f"reply must be T or F, got {cells[4]!r}", row_no)
-        if not all(cells[:4]):
-            raise LogFormatError("empty column", row_no)
-        events.append(TransferEvent(*cells))
+    row_no = 0
+    try:
+        for row_no, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            cells = [c.strip() for c in row]
+            if row_no == 1 and tuple(c.lower() for c in cells) == _LOG_HEADER:
+                continue
+            if len(cells) != 5:
+                raise LogFormatError(f"expected 5 columns, found {len(cells)}", row_no)
+            if cells[4] not in _REPLY_VALUES:
+                raise LogFormatError(f"reply must be T or F, got {cells[4]!r}", row_no)
+            if not all(cells[:4]):
+                raise LogFormatError("empty column", row_no)
+            events.append(TransferEvent(*cells))
+    except csv.Error as exc:  # raised while reading the row after row_no
+        raise LogFormatError(str(exc), row_no + 1) from exc
     return events
 
 
@@ -292,7 +299,7 @@ def comply_events(events, arch: Architecture, assignment=None) -> ComplianceRepo
     warnings: list[Violation] = []
     for index, ev in enumerate(events):
         if ev.source not in members and ev.destination not in members:
-            raise ValueError(
+            raise SpecError(
                 f"event {index}: neither {ev.source} nor {ev.destination} "
                 f"is an architecture member"
             )

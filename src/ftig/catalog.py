@@ -6,6 +6,7 @@ The entity hierarchy comes only from declaration nesting; identifier text
 
 from __future__ import annotations
 
+from .errors import SpecError
 from .record import Record
 
 
@@ -33,11 +34,11 @@ class Catalog(Record):
 
     def add_entity(self, name: str, parent: str | None = None, extern: bool = False):
         if not name:
-            raise ValueError("empty entity name")
+            raise SpecError("empty entity name")
         if name in self.entities:
-            raise ValueError(f"duplicate entity declaration: {name}")
+            raise SpecError(f"duplicate entity declaration: {name}")
         if parent is not None and parent not in self.entities:
-            raise ValueError(f"parent entity {parent} not declared before {name}")
+            raise SpecError(f"parent entity {parent} not declared before {name}")
         self.entities[name] = EntityDecl(name, parent, extern)
 
     def add_name(self, kind: str, name: str, extern: bool = False):
@@ -48,9 +49,9 @@ class Catalog(Record):
             return
         table = self.tables()[kind]
         if not name:
-            raise ValueError(f"empty {kind} name")
+            raise SpecError(f"empty {kind} name")
         if name in table:
-            raise ValueError(f"duplicate {kind} declaration: {name}")
+            raise SpecError(f"duplicate {kind} declaration: {name}")
         if kind == "condition":
             table.add(name)
         else:

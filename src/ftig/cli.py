@@ -1,8 +1,10 @@
 """Command-line front end: parse, resolve, transform and check pipelines.
 
 Exit status: 0 success (or closed / compliant), 1 failed check, 2 static
-error (parse, resolution, unknown name, malformed or undecodable input),
-3 capacity or arithmetic error, 4 internal error (an unexpected exception,
+error (parse, resolution, unknown name, malformed or undecodable input:
+any ``errors.SpecError``, whose subclasses include ``ScopeError``,
+``ParseError`` and ``LogFormatError``), 3 capacity or arithmetic error,
+4 internal error (any other exception, a builtin ``ValueError`` included,
 reported by ``main`` on one line; ``run`` lets it propagate).  Results go
 to stdout, diagnostics to stderr; set NO_COLOR to disable ANSI coloring of
 diagnostics.
@@ -19,7 +21,7 @@ from .algebra import Interface
 from .architecture import (
     Architecture, check_closed, comply_events, diff, read_event_log,
 )
-from .errors import CapacityError, LogFormatError, ParseError
+from .errors import CapacityError, SpecError
 from .locglob import decompose, globalize, localize
 from .reflection import reduce_modulo_reflection
 from .speclang import lint, parse_module, resolve
@@ -27,10 +29,6 @@ from .speclang.astnodes import SpecModule
 from .transform import (
     ConditionalInterface, RefinementSpec, RenameMap, expand_motives, map_parts, refine, rename,
 )
-
-
-class CliError(Exception):
-    """User-facing static error (exit status 2)."""
 
 
 def _print_diagnostics(diags, stream=None):
@@ -49,7 +47,7 @@ def _read_text(path) -> str:
         with open(path, encoding="utf-8") as f:
             return f.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+        raise SpecError(f"cannot read {path}: {exc}") from exc
 
 
 def _load(args):
@@ -63,27 +61,27 @@ def _require_resolved(args):
     res = _load(args)
     _print_diagnostics(res.diagnostics)
     if not res.ok:
-        raise CliError(f"{len(res.errors)} resolution error(s)")
+        raise SpecError(f"{len(res.errors)} resolution error(s)")
     return res
 
 
 def _get_value(res, name):
     """The resolved ``Interface``, or ``ConditionalInterface`` when a branch survives."""
     if name not in res.interfaces:
-        raise CliError(f"unknown interface: {name}")
+        raise SpecError(f"unknown interface: {name}")
     return res.interfaces[name]
 
 
 def _get_plain(res, name) -> Interface:
     value = _get_value(res, name)
     if not isinstance(value, Interface):
-        raise CliError(f"interface {name} is conditional; this command needs a plain interface")
+        raise SpecError(f"interface {name} is conditional; this command needs a plain interface")
     return value
 
 
 def _get_architecture(res, name) -> Architecture:
     if name not in res.architectures:
-        raise CliError(f"unknown architecture: {name}")
+        raise SpecError(f"unknown architecture: {name}")
     return res.architectures[name]
 
 
@@ -178,11 +176,8 @@ def _cmd_normalize(args) -> int:
         value = map_parts(value, expand_motives)
     if args.modulo_reflection:
         if value.branches:
-            raise CliError("cannot reduce a conditional interface modulo reflection")
-        try:
-            residual = reduce_modulo_reflection(value)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+            raise SpecError("cannot reduce a conditional interface modulo reflection")
+        residual = reduce_modulo_reflection(value)
         for gen in residual.non_cancellable:
             print(f"warning: non-cancellable element {gen.text()}", file=sys.stderr)
         _emit(args, lambda: report.document(
@@ -212,28 +207,19 @@ def _render_result(args, command: str, iface: Interface, **extra) -> int:
 
 def _cmd_localize(args) -> int:
     res = _require_resolved(args)
-    try:
-        iface = localize(args.entity, _get_plain(res, args.interface))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    iface = localize(args.entity, _get_plain(res, args.interface))
     return _render_result(args, "localize", iface, entity=args.entity)
 
 
 def _cmd_globalize(args) -> int:
     res = _require_resolved(args)
-    try:
-        iface = globalize(args.entity, _get_plain(res, args.interface), res.catalog)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    iface = globalize(args.entity, _get_plain(res, args.interface), res.catalog)
     return _render_result(args, "globalize", iface, entity=args.entity)
 
 
 def _cmd_decompose(args) -> int:
     res = _require_resolved(args)
-    try:
-        parts = decompose(_get_plain(res, args.interface)).parts
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    parts = decompose(_get_plain(res, args.interface)).parts
     return _emit_parts(args, "decompose", "parts", parts, interface=args.interface)
 
 
@@ -244,11 +230,8 @@ def _cmd_refine(args) -> int:
         if res.catalog.has_entity(part):
             print(f"warning: refinement part {part} collides with a declared entity",
                   file=sys.stderr)
-    try:
-        spec = RefinementSpec(args.entity, parts)
-        iface = refine(expand_motives(_get_plain(res, args.interface)), spec)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    spec = RefinementSpec(args.entity, parts)
+    iface = refine(expand_motives(_get_plain(res, args.interface)), spec)
     return _render_result(args, "refine", iface, entity=args.entity,
                           into=map(report.string, parts))
 
@@ -264,7 +247,7 @@ def _read_rename_map(path: str) -> RenameMap:
             continue
         fields = line.split()
         if len(fields) != 3 or fields[0] not in tables:
-            raise CliError(
+            raise SpecError(
                 f"{path}:{line_no}: rename map lines are 'entity|action|motive OLD NEW'"
             )
         tables[fields[0]][fields[1]] = fields[2]
@@ -280,10 +263,7 @@ def _cmd_rename(args) -> int:
 
 def _cmd_diff(args) -> int:
     res = _require_resolved(args)
-    try:
-        deltas = diff(_get_architecture(res, args.a), _get_architecture(res, args.b))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    deltas = diff(_get_architecture(res, args.a), _get_architecture(res, args.b))
     return _emit_parts(args, "diff", "deltas", deltas, a=args.a, b=args.b)
 
 
@@ -302,7 +282,7 @@ def _report_undeclared(unknown, allow_undeclared: bool):
         for line in unknown:
             print(f"warning: {line}", file=sys.stderr)
     else:
-        raise CliError("; ".join(unknown))
+        raise SpecError("; ".join(unknown))
 
 
 def _check_event_names(events, res, allow_undeclared: bool):
@@ -324,9 +304,9 @@ def _parse_assignments(pairs, res, allow_undeclared: bool) -> dict | None:
     for pair in pairs:
         var, eq, value = pair.partition("=")
         if not eq or value not in ("true", "false") or not var:
-            raise CliError(f"bad assignment {pair!r}; expected VAR=true or VAR=false")
+            raise SpecError(f"bad assignment {pair!r}; expected VAR=true or VAR=false")
         if var in assignment:
-            raise CliError(f"condition variable {var} assigned twice")
+            raise SpecError(f"condition variable {var} assigned twice")
         if var not in res.catalog.condition_vars:
             unknown.append(f"assignment {pair}: undeclared condition {var}")
         assignment[var] = value == "true"
@@ -339,11 +319,8 @@ def _cmd_comply(args) -> int:
     arch = _get_architecture(res, args.architecture)
     events = read_event_log(_read_text(args.log))
     _check_event_names(events, res, args.allow_undeclared)
-    try:
-        rep = comply_events(events, arch,
-                            _parse_assignments(args.assign, res, args.allow_undeclared))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    rep = comply_events(events, arch,
+                        _parse_assignments(args.assign, res, args.allow_undeclared))
     for warning in rep.warnings:
         print(f"warning: {_violation_text(warning)}", file=sys.stderr)
     _emit(args, lambda: report.document(
@@ -446,17 +423,11 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
+    except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
         print("error: expression nesting too deep", file=sys.stderr)
-        return 2
-    except LogFormatError as exc:
-        print(f"error: event log {exc}", file=sys.stderr)
-        return 2
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CapacityError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,18 @@
-"""Error types shared across the package."""
+"""Error types shared across the package.
+
+``SpecError`` means the input is wrong: a specification, value, rename map
+or event log that the toolchain rejects.  ``ScopeError``, ``ParseError``
+and ``LogFormatError`` are its subclasses, and the command line reports
+every ``SpecError`` as a static error (exit 2).  ``CapacityError`` and
+``OverflowError`` are exit 3; any other exception is a fault in ftig.
+"""
 
 
-class ScopeError(ValueError):
+class SpecError(ValueError):
+    """The input is wrong; the message says how."""
+
+
+class ScopeError(SpecError):
     """Local and global interface values were mixed in one operation."""
 
 
@@ -33,7 +44,7 @@ class SourcePosition:
         return hash((self.file, self.line, self.col))
 
 
-class ParseError(Exception):
+class ParseError(SpecError):
     """Lexical or syntactic error, carrying a source position."""
 
     def __init__(self, message, pos):
@@ -42,10 +53,10 @@ class ParseError(Exception):
         self.pos = pos
 
 
-class LogFormatError(Exception):
+class LogFormatError(SpecError):
     """A transfer-event log row could not be ingested."""
 
     def __init__(self, message, row):
-        super().__init__(f"row {row}: {message}")
+        super().__init__(f"event log row {row}: {message}")
         self.message = message
         self.row = row

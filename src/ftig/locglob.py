@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from .algebra import ALPHA_TF, GLOBAL, LOCAL, Generator, Interface, induced, interface_sum
 from .catalog import Catalog
-from .errors import ScopeError
+from .errors import ScopeError, SpecError
 from .record import Record
 
 
 def require_entity(entity: str, catalog: Catalog | None) -> None:
     """Raise unless ``catalog`` is ``None`` or declares ``entity``."""
     if catalog is not None and not catalog.has_entity(entity):
-        raise ValueError(f"entity {entity} is not in the catalog")
+        raise SpecError(f"entity {entity} is not in the catalog")
 
 
 def globalize(entity: str, iface: Interface, catalog: Catalog | None = None) -> Interface:

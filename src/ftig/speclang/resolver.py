@@ -13,7 +13,7 @@ import itertools
 from ..algebra import ALPHA_TF, GLOBAL, Generator, Interface, RunningSum
 from ..architecture import Architecture
 from ..catalog import Catalog
-from ..errors import ScopeError, SourcePosition
+from ..errors import ScopeError, SourcePosition, SpecError
 from ..record import Record
 from ..transform import (
     ConditionalInterface, ConditionLiteral, RefinementSpec, RenameMap,
@@ -145,7 +145,7 @@ class _Evaluator:
                     self.error(
                         f"interface {name} declared @{item.scope_annotation} "
                         f"but its elements are {scope}", item.pos)
-        except (ScopeError, OverflowError, ValueError) as exc:
+        except (SpecError, OverflowError) as exc:
             self.error(f"in interface {name}: {exc}", item.pos)
             value = Interface.zero()
         finally:
@@ -156,7 +156,7 @@ class _Evaluator:
     def _plain_source(self, item) -> Interface:
         source = self.resolve_name(item.source, item.pos)
         if not isinstance(source, Interface):
-            raise ValueError(f"{item.source} is conditional and cannot be transformed")
+            raise SpecError(f"{item.source} is conditional and cannot be transformed")
         return source
 
     def _eval_refine(self, item: RefineDef) -> Interface:
@@ -253,7 +253,7 @@ def _scaled(value: Interface | ConditionalInterface, n: int) -> Interface | Cond
 def _declare_entities(item: EntityItem, parent: str | None, catalog: Catalog, diags: list):
     try:
         catalog.add_entity(item.name, parent, item.extern)
-    except ValueError as exc:
+    except SpecError as exc:
         diags.append(Diagnostic("error", str(exc), item.pos))
     for child in item.children:
         _declare_entities(child, item.name, catalog, diags)
@@ -268,7 +268,7 @@ def build_catalog(module: SpecModule) -> tuple[Catalog, list[Diagnostic]]:
                 _declare_entities(item, None, catalog, diags)
             elif isinstance(item, NameItem):
                 catalog.add_name(item.kind, item.name, item.extern)
-        except ValueError as exc:
+        except SpecError as exc:
             diags.append(Diagnostic("error", str(exc), item.pos))
     return catalog, diags
 
@@ -416,5 +416,5 @@ def evaluate_expression_text(text: str):
     value = evaluator.eval(node)
     hard = [d for d in evaluator.diagnostics if d.severity == "error"]
     if hard:
-        raise ValueError(hard[0].render())
+        raise SpecError(hard[0].render())
     return value

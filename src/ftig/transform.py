@@ -23,7 +23,7 @@ from collections.abc import Callable, Iterable, Mapping
 from .algebra import (
     GLOBAL, I64_MAX, LOCAL, Generator, Interface, RunningSum, induced, interface_sum,
 )
-from .errors import CapacityError, ScopeError
+from .errors import CapacityError, ScopeError, SpecError
 from .record import Record
 from .reflection import ClosednessReport, Residual, is_closed, reduce_modulo_reflection
 
@@ -52,11 +52,11 @@ class RefinementSpec(Record):
     def __init__(self, coarse: str, parts: Iterable[str]):
         parts = tuple(parts)
         if not parts:
-            raise ValueError("refinement needs at least one part")
+            raise SpecError("refinement needs at least one part")
         if len(set(parts)) != len(parts):
-            raise ValueError("refinement parts must be pairwise distinct")
+            raise SpecError("refinement parts must be pairwise distinct")
         if coarse in parts:
-            raise ValueError("refined entity cannot be one of its own parts")
+            raise SpecError("refined entity cannot be one of its own parts")
         self.coarse = coarse
         self.parts = parts
 
@@ -74,7 +74,7 @@ def refine(iface: Interface, spec: RefinementSpec) -> Interface:
 
     def image(g: Generator) -> list[tuple[Generator, int]]:
         if not g.has_atomic_motive:
-            raise ValueError(
+            raise SpecError(
                 f"refine needs atomic motives; expand first (offending element: {g.text()})"
             )
         targets = spec.parts if g.target == spec.coarse else (g.target,)
@@ -271,7 +271,7 @@ def eval_conditional(cond: ConditionalInterface, assignment: Mapping[str, bool])
     """The unconditional part plus every branch whose literal is satisfied."""
     missing = [v for v in cond.variables() if v not in assignment]
     if missing:
-        raise ValueError(f"assignment missing condition variables: {', '.join(missing)}")
+        raise SpecError(f"assignment missing condition variables: {', '.join(missing)}")
     return cond.unconditional + interface_sum(
         iface for lit, iface in cond.branches if lit.satisfied_by(assignment)
     )

@@ -3,7 +3,9 @@ image terms, kept as the oracle for ``test_transform.TestInducedOracle``.
 
 ``globalize``, ``expand_motives``, ``refine``, ``annihilate``, ``rename``
 and ``reduce_modulo_reflection`` are the copies from before they became
-one ``algebra.induced`` call each.  Only the imports are changed.
+one ``algebra.induced`` call each.  Only the imports are changed, and
+the two bad-input raises raise ``SpecError``, the class today's code
+raises, where they raised ``ValueError``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from collections.abc import Iterable
 
 from ftig.algebra import Generator, Interface
 from ftig.catalog import Catalog
-from ftig.errors import ScopeError
+from ftig.errors import ScopeError, SpecError
 from ftig.reflection import Residual, reflect_generator
 from ftig.transform import RefinementSpec, RenameMap
 
@@ -23,7 +25,7 @@ def globalize(entity: str, iface: Interface, catalog: Catalog | None = None) -> 
     if iface.scope == "global":
         raise ScopeError("globalize expects a local interface")
     if catalog is not None and not catalog.has_entity(entity):
-        raise ValueError(f"entity {entity} is not in the catalog")
+        raise SpecError(f"entity {entity} is not in the catalog")
     return Interface(
         tuple(
             (Generator(g.target, g.action, g.motive, g.polarity, entity, g.alpha), c)
@@ -62,7 +64,7 @@ def refine(iface: Interface, spec: RefinementSpec) -> Interface:
     acc = []
     for gen, coeff in iface:
         if not gen.has_atomic_motive:
-            raise ValueError(
+            raise SpecError(
                 f"refine needs atomic motives; expand first (offending element: {gen.text()})"
             )
         hits_target = gen.target == spec.coarse

@@ -7,7 +7,9 @@ conditional machinery, kept as the oracle for
 ``_eval_signed`` and ``eval``) with the copies, and keeps its constructor,
 diagnostics and name checks.  ``resolve`` and ``evaluate_expression_text``
 are the copies that turned plain results back into ``Interface`` at the end.
-Only the imports and the evaluator's class name are changed, and each
+Only the imports and the evaluator's class name are changed,
+``evaluate_expression_text`` raises ``SpecError`` where it raised
+``ValueError`` (the class today's code raises), and each
 ``value.is_plain`` of the deleted ``ConditionalInterface`` property reads
 ``is_plain(value)``, a one-line helper below.  The ``ParenExpr`` branch of
 ``eval`` is gone with the node: today's parser never builds one.  ``resolve``
@@ -22,7 +24,7 @@ from __future__ import annotations
 from ftig.algebra import Generator, Interface
 from ftig.architecture import Architecture
 from ftig.catalog import Catalog
-from ftig.errors import ScopeError
+from ftig.errors import ScopeError, SpecError
 from ftig.speclang.astnodes import (
     CondExpr, GenExpr, NegExpr, RefExpr, RefineDef, RenameDef,
     ScaleExpr, SpecModule, SumExpr, ZeroExpr,
@@ -218,5 +220,5 @@ def evaluate_expression_text(text: str):
     value = evaluator.eval(node)
     hard = [d for d in evaluator.diagnostics if d.severity == "error"]
     if hard:
-        raise ValueError(hard[0].render())
+        raise SpecError(hard[0].render())
     return value.unconditional if is_plain(value) else value

@@ -254,6 +254,13 @@ class TestEventLog:
         with pytest.raises(LogFormatError, match="reply"):
             read_event_log("e1,e2,a,m,yes\n")
 
+    def test_unreadable_csv_row_is_a_format_error(self):
+        # csv.Error names no row; it is raised while reading the next one
+        with pytest.raises(LogFormatError) as caught:
+            read_event_log("e1,e2,a,m,T\n\n" + "x" * 131073 + ",e2,a,m,T\n")
+        assert str(caught.value) == "event log row 3: field larger than field limit (131072)"
+        assert caught.value.row == 3
+
 
 def two_entity_arch(alpha_out=ALPHA_TF, alpha_in=ALPHA_TF, contained=False):
     out = Interface.term(service("e2", "a", "m", alpha=alpha_out))

@@ -311,6 +311,24 @@ class TestComply:
         assert code == 2
         assert "row 1" in err
 
+    def test_unreadable_csv_is_static_error(self, capsys, tmp_path):
+        log = tmp_path / "log.csv"
+        log.write_text("e1,e2,a,m,T\n" + "x" * 131073 + ",e2,a,m,T\n")
+        code, out, err = invoke(capsys, "comply", "--log", str(log),
+                                "TwoEntity", fx("two_entity.fti"))
+        assert (code, out) == (2, "")
+        assert err == "error: event log row 2: field larger than field limit (131072)\n"
+
+    def test_nul_byte_in_log_is_static_error(self, capsys, tmp_path):
+        # csv rejects a NUL byte before Python 3.11; later versions read it
+        # into the action name, which is then undeclared
+        log = tmp_path / "log.csv"
+        log.write_text("e1,e2,a\0,m,T\n")
+        code, out, err = invoke(capsys, "comply", "--log", str(log),
+                                "TwoEntity", fx("two_entity.fti"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_conditional_architecture_needs_assignment(self, capsys, tmp_path):
         log = tmp_path / "log.csv"
         log.write_text("g,f,a,m,T\n")
@@ -530,6 +548,24 @@ class TestExitCodes:
         assert out == ""
         assert err == "internal error: RuntimeError: two lines\n"
 
+    @pytest.mark.parametrize("patched, argv", [
+        ("localize", ("localize", "-e", "e1", "Sum", fx("two_entity.fti"))),
+        ("comply_events", ("comply", "--log", fx("log_ok.csv"), "TwoEntity",
+                           fx("two_entity.fti"))),
+    ])
+    def test_builtin_value_error_is_exit_4(self, capsys, monkeypatch, patched, argv):
+        # a ValueError that is not a SpecError is a fault, not bad input
+        def broken(*args, **kwargs):
+            raise ValueError("too many values to unpack (expected 2)")
+        monkeypatch.setattr(cli, patched, broken)
+        monkeypatch.setattr(sys, "argv", ["fti", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main()
+        assert exit_info.value.code == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "internal error: ValueError: too many values to unpack (expected 2)\n"
+
     def test_console_script_entry_point(self):
         out = subprocess.run(
             [sys.executable, "-m", "ftig.cli", "closed", "TwoEntity", fx("two_entity.fti")],
@@ -596,7 +632,12 @@ class TestFuzz:
             runs = [
                 ("check", spec_file),
                 ("closed", "TwoEntity", spec_file),
+                ("normalize", "Sum", "--modulo-reflection", spec_file),
+                ("localize", "-e", "e1", "Sum", spec_file),
+                ("globalize", "-e", "e1", "I1", spec_file),
                 ("decompose", "Sum", spec_file),
+                ("refine", "-f", "e2", "--into", "p,q", "Sum", spec_file),
+                ("rename", "--map", fx("rename.map"), "I1", spec_file),
                 ("diff", "TwoEntity", "Dangling", spec_file),
                 ("comply", "--log", fx("log_bad.csv"), "TwoEntity", spec_file),
                 ("comply", "--log", log_file, "TwoEntity", fx("two_entity.fti")),

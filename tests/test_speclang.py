@@ -693,6 +693,17 @@ class TestModules:
         res = resolve(parse_module(text))
         assert any("cannot combine" in d.message and "I" in d.message for d in res.errors)
 
+    def test_fault_in_evaluation_is_not_a_diagnostic(self, monkeypatch):
+        # only a SpecError is a fault of the input; a builtin ValueError from
+        # evaluation is a fault of ftig and must not become "in interface X: ..."
+        def broken(self, node):
+            raise ValueError("invalid literal for int() with base 10: 'x'")
+        monkeypatch.setattr(resolver_module._Evaluator, "eval", broken)
+        module = parse_module("entity e\naction a\nmotive m\ninterface I { e.a(m) }")
+        with pytest.raises(ValueError) as caught:
+            resolve(module)
+        assert type(caught.value) is ValueError
+
     def test_global_member_rejected(self):
         text = ("entity e\nentity f\naction a\nmotive m\n"
                 "architecture A { e : { f.a(m)@e } }")
