@@ -20,10 +20,7 @@ from .architecture import (
 from .catalog import Catalog, EntityDecl
 from .errors import CapacityError, LogFormatError, ParseError, ScopeError, SpecError
 from .locglob import Decomposition, decompose, globalize, localize, recompose
-from .reflection import (
-    ClosednessReport, Residual, is_closed, reduce_modulo_reflection,
-    reflect_generator,
-)
+from .reflection import Residual, reduce_modulo_reflection, reflect_generator
 from .transform import (
     AssignmentReport, ConditionalInterface, ConditionLiteral, RefinementSpec,
     RenameMap, annihilate, closed_under_all_assignments, eval_conditional,
@@ -35,14 +32,14 @@ __version__ = "0.1.0"
 __all__ = [
     "ALPHA_F", "ALPHA_NONE", "ALPHA_T", "ALPHA_TF", "Architecture",
     "ArchitectureReport", "AssignmentReport", "CapacityError", "Catalog",
-    "CLIENT", "ClosednessReport", "ComplianceReport", "ConditionLiteral",
+    "CLIENT", "ComplianceReport", "ConditionLiteral",
     "ConditionalInterface", "Decomposition", "EntityDecl", "GLOBAL",
     "Generator", "Interface", "LOCAL", "LogFormatError", "ParseError",
     "RefinementSpec", "RenameMap", "Residual", "SERVICE", "ScopeError",
     "SpecError", "TransferEvent", "annihilate", "check_closed", "client",
     "closed_under_all_assignments", "comply_events", "decompose", "diff",
     "eval_conditional", "expand_motives", "global_sum", "globalize",
-    "interface_sum", "is_closed", "localize", "read_event_log", "recompose",
+    "interface_sum", "localize", "read_event_log", "recompose",
     "reduce_modulo_reflection", "refine", "reflect_generator", "rename",
     "service",
 ]

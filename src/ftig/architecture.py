@@ -26,7 +26,7 @@ from .catalog import Catalog
 from .errors import LogFormatError, ScopeError, SpecError
 from .locglob import globalize, require_entity
 from .record import Record
-from .reflection import ClosednessReport, is_closed, reduce_hosted
+from .reflection import Residual, reduce_hosted, reduce_modulo_reflection
 from .transform import (
     AssignmentReport, ConditionalInterface, closed_under_all_assignments, conditional_sum,
     eval_conditional, expand_motives, map_parts, plain_if_possible,
@@ -107,18 +107,21 @@ def _conditional_global_sum(arch: Architecture, catalog: Catalog | None) -> Cond
 class ArchitectureReport(Record):
     """Closedness verdict for one architecture.
 
-    ``plain`` is set for unconditional architectures, ``conditional`` when
-    branches forced an all-assignments check.
+    ``plain`` is the residual of an unconditional architecture,
+    ``conditional`` the all-assignments check that branches forced.
     """
 
-    __slots__ = ("architecture", "closed", "plain", "conditional")
+    __slots__ = ("architecture", "plain", "conditional")
 
-    def __init__(self, architecture: str, closed: bool, plain: ClosednessReport | None = None,
+    def __init__(self, architecture: str, plain: Residual | None = None,
                  conditional: AssignmentReport | None = None):
         self.architecture = architecture
-        self.closed = closed
         self.plain = plain
         self.conditional = conditional
+
+    @property
+    def closed(self) -> bool:
+        return (self.conditional if self.plain is None else self.plain).closed
 
     def residual_lines(self) -> list[str]:
         if self.plain is not None:
@@ -138,24 +141,23 @@ def check_closed(arch: Architecture, catalog: Catalog | None = None) -> Architec
 
     A plain architecture is reduced in one pass by
     ``reflection.reduce_hosted``, with the value and first error of
-    ``is_closed(global_sum(arch, catalog=catalog))``: when the absolute
-    coefficients, counted once per atom occurrence, sum to more than
-    ``I64_MAX``, some partial sum could overflow, so that staged path runs
-    instead and raises its first error.
+    ``reduce_modulo_reflection(global_sum(arch, catalog=catalog))``: when
+    the absolute coefficients, counted once per atom occurrence, sum to
+    more than ``I64_MAX``, some partial sum could overflow, so that staged
+    path runs instead and raises its first error.
     """
     if arch.has_conditionals:
-        report = closed_under_all_assignments(_conditional_global_sum(arch, catalog))
-        return ArchitectureReport(arch.name, report.closed, conditional=report)
+        return ArchitectureReport(arch.name, conditional=closed_under_all_assignments(
+            _conditional_global_sum(arch, catalog)))
     for member in arch.members:
         require_entity(member.entity, catalog)
     magnitude = sum(abs(c) * len(g.motive) for member in arch.members
                     for g, c in member.interface)
     if magnitude > I64_MAX:
-        report = is_closed(global_sum(arch, catalog=catalog))
+        residual = reduce_modulo_reflection(global_sum(arch, catalog=catalog))
     else:
-        report = ClosednessReport.of(
-            reduce_hosted((member.entity, member.interface) for member in arch.members))
-    return ArchitectureReport(arch.name, report.closed, plain=report)
+        residual = reduce_hosted((member.entity, member.interface) for member in arch.members)
+    return ArchitectureReport(arch.name, plain=residual)
 
 
 def diff(a: Architecture, b: Architecture) -> tuple[tuple[str, Interface], ...]:

@@ -6,8 +6,8 @@ any ``errors.SpecError``, whose subclasses include ``ScopeError``,
 ``ParseError`` and ``LogFormatError``), 3 capacity or arithmetic error,
 4 internal error (any other exception, a builtin ``ValueError`` included,
 reported by ``main`` on one line; ``run`` lets it propagate).  Results go
-to stdout, diagnostics to stderr; set NO_COLOR to disable ANSI coloring of
-diagnostics.
+to stdout, diagnostics to stderr, one line each with unprintable characters
+escaped; set NO_COLOR to disable ANSI coloring of diagnostics.
 """
 
 from __future__ import annotations
@@ -31,15 +31,24 @@ from .transform import (
 )
 
 
-def _print_diagnostics(diags, stream=None):
-    stream = stream if stream is not None else sys.stderr
-    use_color = stream.isatty() and not os.environ.get("NO_COLOR")
+def _stderr(line: str, color: str = "") -> None:
+    """Write ``line`` to stderr as one line.
+
+    Each character that ``str.isprintable`` rejects is escaped as ``repr``
+    escapes it, so text from the input cannot break the line or reach the
+    terminal as a control sequence; then ``color``, an ANSI code, wraps the
+    line when stderr is a terminal and NO_COLOR is unset.
+    """
+    if not line.isprintable():
+        line = "".join(c if c.isprintable() else repr(c)[1:-1] for c in line)
+    if color and sys.stderr.isatty() and not os.environ.get("NO_COLOR"):
+        line = f"{color}{line}\x1b[0m"
+    print(line, file=sys.stderr)
+
+
+def _print_diagnostics(diags):
     for d in diags:
-        line = d.render()
-        if use_color:
-            color = "\x1b[31m" if d.severity == "error" else "\x1b[33m"
-            line = f"{color}{line}\x1b[0m"
-        print(line, file=stream)
+        _stderr(d.render(), "\x1b[31m" if d.severity == "error" else "\x1b[33m")
 
 
 def _read_text(path) -> str:
@@ -135,11 +144,10 @@ def _cmd_check(args) -> int:
 def _closed_doc(rep) -> str:
     verdict = "closed" if rep.closed else "not-closed"
     if rep.plain is not None:
-        residual = rep.plain.residual
         return report.document(
             "closed", architecture=rep.architecture, verdict=verdict,
-            residual=report.interface_terms(residual.canonical),
-            non_cancellable=map(report.generator_object, residual.non_cancellable),
+            residual=report.interface_terms(rep.plain.canonical),
+            non_cancellable=map(report.generator_object, rep.plain.non_cancellable),
             assignments=None,
         )
     return report.document(
@@ -179,7 +187,7 @@ def _cmd_normalize(args) -> int:
             raise SpecError("cannot reduce a conditional interface modulo reflection")
         residual = reduce_modulo_reflection(value)
         for gen in residual.non_cancellable:
-            print(f"warning: non-cancellable element {gen.text()}", file=sys.stderr)
+            _stderr(f"warning: non-cancellable element {gen.text()}")
         _emit(args, lambda: report.document(
             "normalize", interface=args.interface,
             rendered=residual.canonical.render(),
@@ -228,8 +236,7 @@ def _cmd_refine(args) -> int:
     parts = tuple(p for p in args.into.split(",") if p)
     for part in parts:
         if res.catalog.has_entity(part):
-            print(f"warning: refinement part {part} collides with a declared entity",
-                  file=sys.stderr)
+            _stderr(f"warning: refinement part {part} collides with a declared entity")
     spec = RefinementSpec(args.entity, parts)
     iface = refine(expand_motives(_get_plain(res, args.interface)), spec)
     return _render_result(args, "refine", iface, entity=args.entity,
@@ -280,7 +287,7 @@ def _report_undeclared(unknown, allow_undeclared: bool):
         return
     if allow_undeclared:
         for line in unknown:
-            print(f"warning: {line}", file=sys.stderr)
+            _stderr(f"warning: {line}")
     else:
         raise SpecError("; ".join(unknown))
 
@@ -322,7 +329,7 @@ def _cmd_comply(args) -> int:
     rep = comply_events(events, arch,
                         _parse_assignments(args.assign, res, args.allow_undeclared))
     for warning in rep.warnings:
-        print(f"warning: {_violation_text(warning)}", file=sys.stderr)
+        _stderr(f"warning: {_violation_text(warning)}")
     _emit(args, lambda: report.document(
         "comply", architecture=args.architecture, log=args.log,
         verdict="compliant" if rep.complies else "violations",
@@ -424,13 +431,13 @@ def run(argv=None) -> int:
     try:
         return args.handler(args)
     except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _stderr(f"error: {exc}")
         return 2
     except RecursionError:
-        print("error: expression nesting too deep", file=sys.stderr)
+        _stderr("error: expression nesting too deep")
         return 2
     except (CapacityError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _stderr(f"error: {exc}")
         return 3
 
 
@@ -439,7 +446,7 @@ def main():
         code = run()
     except Exception as exc:  # a fault in ftig must not read as a verdict
         message = " ".join(str(exc).splitlines())
-        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        _stderr(f"internal error: {type(exc).__name__}: {message}")
         code = 4
     sys.exit(code)
 

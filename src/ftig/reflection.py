@@ -69,29 +69,42 @@ class Residual(Record):
     """Image of an interface in the group modulo reflection.
 
     ``canonical`` holds only service-polarity, non-self-transfer TF
-    elements plus any non-cancellable (non-TF) elements.
-    ``non_cancellable`` lists the non-TF generators that were present.
+    elements plus any non-cancellable (non-TF) elements.  The interface is
+    closed exactly when its residual is zero.
     """
 
-    __slots__ = ("canonical", "non_cancellable")
+    __slots__ = ("canonical",)
 
-    def __init__(self, canonical: Interface, non_cancellable: tuple[Generator, ...] = ()):
+    def __init__(self, canonical: Interface):
         self.canonical = canonical
-        self.non_cancellable = non_cancellable
-
-    @classmethod
-    def of(cls, canonical: Interface) -> Residual:
-        """The residual with this canonical form.
-
-        Reduction leaves non-TF terms as they are and maps no TF term onto
-        one, so the non-TF terms of ``canonical`` are the non-cancellable
-        elements, in generator order.
-        """
-        return cls(canonical, tuple(g for g, _ in canonical if g.alpha != ALPHA_TF))
 
     @property
-    def is_zero(self) -> bool:
-        return self.canonical.is_zero and not self.non_cancellable
+    def closed(self) -> bool:
+        return self.canonical.is_zero
+
+    @property
+    def non_cancellable(self) -> tuple[Generator, ...]:
+        """The non-TF terms of ``canonical``, in generator order.
+
+        Reduction leaves non-TF terms as they are and maps no TF term onto
+        one, so these are the non-TF elements the reduced interface held.
+        """
+        return tuple(g for g, _ in self.canonical if g.alpha != ALPHA_TF)
+
+    def residual_lines(self) -> list[str]:
+        """One line per residual term, then one per non-cancellable element."""
+        lines = []
+        for gen, coeff in self.canonical:
+            direction = f"{gen.host} -> {gen.target}"
+            if gen.polarity == CLIENT:
+                direction = f"{gen.target} -> {gen.host} (incoming side)"
+            alpha = "" if gen.alpha == ALPHA_TF else f"/{gen.alpha}"
+            lines.append(
+                f"{direction} : {gen.action}({render_motive(gen.motive)}){alpha} x {coeff:+d}"
+            )
+        for gen in self.non_cancellable:
+            lines.append(f"non-cancellable reply constraint: {gen.text()}")
+        return lines
 
 
 def reduce_modulo_reflection(iface: Interface) -> Residual:
@@ -102,7 +115,7 @@ def reduce_modulo_reflection(iface: Interface) -> Residual:
     """
     if iface.scope == LOCAL:
         raise ScopeError("cannot reduce a local interface modulo reflection")
-    return Residual.of(induced(iface, _reflected))
+    return Residual(induced(iface, _reflected))
 
 
 def _reflected(gen: Generator) -> tuple[tuple[Generator, int], ...]:
@@ -133,36 +146,4 @@ def reduce_hosted(members: Iterable[tuple[str, Interface]]) -> Residual:
             for atom in gen.motive:
                 key = (target, action, (atom,), polarity, host, alpha)
                 acc[key] = acc.get(key, 0) + coeff
-    return Residual.of(Interface({Generator(*key): c for key, c in acc.items() if c}))
-
-
-class ClosednessReport(Record):
-    __slots__ = ("closed", "residual")
-
-    def __init__(self, closed: bool, residual: Residual):
-        self.closed = closed
-        self.residual = residual
-
-    @classmethod
-    def of(cls, residual: Residual) -> ClosednessReport:
-        return cls(residual.is_zero, residual)
-
-    def residual_lines(self) -> list[str]:
-        """One line per residual term, then one per non-cancellable element."""
-        lines = []
-        for gen, coeff in self.residual.canonical:
-            direction = f"{gen.host} -> {gen.target}"
-            if gen.polarity == CLIENT:
-                direction = f"{gen.target} -> {gen.host} (incoming side)"
-            alpha = "" if gen.alpha == ALPHA_TF else f"/{gen.alpha}"
-            lines.append(
-                f"{direction} : {gen.action}({render_motive(gen.motive)}){alpha} x {coeff:+d}"
-            )
-        for gen in self.residual.non_cancellable:
-            lines.append(f"non-cancellable reply constraint: {gen.text()}")
-        return lines
-
-
-def is_closed(iface: Interface) -> ClosednessReport:
-    """Zero-sum integrity check: closed iff the residual vanishes entirely."""
-    return ClosednessReport.of(reduce_modulo_reflection(iface))
+    return Residual(Interface({Generator(*key): c for key, c in acc.items() if c}))

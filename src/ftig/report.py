@@ -131,21 +131,21 @@ def branch_object(lit, iface: Interface, depth: int = 2) -> str:
 def assignment_cases(cases, depth: int = 2):
     """The case objects of a conditional check, one per assignment, in order.
 
-    ``cases`` is the sequence of (assignment, report) pairs of an
-    ``AssignmentReport``.  Cases that share one ``ClosednessReport`` share
-    its rendered verdict and residual.
+    ``cases`` is the sequence of (assignment, residual) pairs of an
+    ``AssignmentReport``.  Cases that share one ``Residual`` share its
+    rendered verdict and terms.
     """
     layout = _layout(_CASE_KEYS, depth)
     start, sep, end = "{" + _newline(depth + 2), "," + _newline(depth + 2), _newline(depth + 1) + "}"
     items = {item for assignment, _ in cases for item in assignment}
     entries = {item: string(item[0]) + (": true" if item[1] else ": false") for item in items}
-    shared = {}  # id of a report in ``cases``, which keeps it alive -> its texts
-    for assignment, rep in cases:
-        texts = shared.get(id(rep))
+    shared = {}  # id of a residual in ``cases``, which keeps it alive -> its texts
+    for assignment, residual in cases:
+        texts = shared.get(id(residual))
         if texts is None:
-            texts = shared[id(rep)] = (
-                _verdict(rep.closed),
-                _array(interface_terms(rep.residual.canonical, depth + 2), depth + 1),
+            texts = shared[id(residual)] = (
+                _verdict(residual.closed),
+                _array(interface_terms(residual.canonical, depth + 2), depth + 1),
             )
         body = sep.join(map(entries.__getitem__, assignment))
         yield layout % (start + body + end if body else "{}", *texts)

@@ -25,7 +25,7 @@ from .algebra import (
 )
 from .errors import CapacityError, ScopeError, SpecError
 from .record import Record
-from .reflection import ClosednessReport, Residual, is_closed, reduce_modulo_reflection
+from .reflection import Residual, reduce_modulo_reflection
 
 MAX_CONDITION_VARS = 16
 
@@ -278,12 +278,16 @@ def eval_conditional(cond: ConditionalInterface, assignment: Mapping[str, bool])
 
 
 class AssignmentReport(Record):
-    __slots__ = ("closed", "cases")
+    """The residual under each assignment; closed when every one is zero."""
 
-    def __init__(self, closed: bool,
-                 cases: tuple[tuple[tuple[tuple[str, bool], ...], ClosednessReport], ...]):
-        self.closed = closed
+    __slots__ = ("cases",)
+
+    def __init__(self, cases: tuple[tuple[tuple[tuple[str, bool], ...], Residual], ...]):
         self.cases = cases
+
+    @property
+    def closed(self) -> bool:
+        return all(residual.closed for _, residual in self.cases)
 
 
 def closed_under_all_assignments(cond: ConditionalInterface) -> AssignmentReport:
@@ -292,7 +296,7 @@ def closed_under_all_assignments(cond: ConditionalInterface) -> AssignmentReport
     The residual under an assignment is the reduced unconditional part plus
     the reduced branches whose literal the assignment satisfies, so each
     part is reduced once, and assignments that select the same nonzero
-    reduced branches share one sum and one report.  Assignments run in
+    reduced branches share one sum and one residual.  Assignments run in
     ``itertools.product`` order, ``False`` first.
     """
     variables = cond.variables()
@@ -305,8 +309,8 @@ def closed_under_all_assignments(cond: ConditionalInterface) -> AssignmentReport
                     for _, c in part)
     # reducing first could hide an evaluation's overflow or local scope: evaluate those
     if cond.scope == LOCAL or magnitude > I64_MAX:
-        reports = [is_closed(eval_conditional(cond, dict(zip(variables, values))))
-                   for values in rows]
+        residuals = [reduce_modulo_reflection(eval_conditional(cond, dict(zip(variables, values))))
+                     for values in rows]
     else:
         base = reduce_modulo_reflection(cond.unconditional).canonical
         reduced = [(lit, reduce_modulo_reflection(iface).canonical)
@@ -314,16 +318,17 @@ def closed_under_all_assignments(cond: ConditionalInterface) -> AssignmentReport
         reduced = [(lit, r) for lit, r in reduced if r]  # branches in the kernel add nothing
         column = {var: i for i, var in enumerate(variables)}
         guards = [(column[lit.variable], lit.negated) for lit, _ in reduced]
-        # assignments that select the same reduced branches share one report
-        distinct: dict[tuple[int, ...], ClosednessReport] = {}
-        reports = []
+        # assignments that select the same reduced branches share one residual
+        distinct: dict[tuple[int, ...], Residual] = {}
+        residuals = []
         for values in rows:
             selected = tuple(i for i, (j, negated) in enumerate(guards) if values[j] != negated)
-            rep = distinct.get(selected)
-            if rep is None:
-                rep = distinct[selected] = ClosednessReport.of(Residual.of(interface_sum(
+            residual = distinct.get(selected)
+            if residual is None:
+                residual = distinct[selected] = Residual(interface_sum(
                     (base, *(reduced[i][1] for i in selected))
-                )))
-            reports.append(rep)
-    cases = tuple((tuple(zip(variables, values)), rep) for values, rep in zip(rows, reports))
-    return AssignmentReport(all(rep.closed for _, rep in cases), cases)
+                ))
+            residuals.append(residual)
+    cases = tuple((tuple(zip(variables, values)), residual)
+                  for values, residual in zip(rows, residuals))
+    return AssignmentReport(cases)

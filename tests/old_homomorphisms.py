@@ -124,5 +124,5 @@ def reduce_modulo_reflection(iface: Interface) -> Residual:
             continue
         canon_gen, sign = reflected
         acc.append((canon_gen, sign * coeff))
-    return Residual.of(Interface(acc))
+    return Residual(Interface(acc))
 

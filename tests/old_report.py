@@ -65,9 +65,9 @@ def _closed_doc(rep) -> dict:
         "verdict": "closed" if rep.closed else "not-closed",
     }
     if rep.plain is not None:
-        fields["residual"] = interface_terms(rep.plain.residual.canonical)
+        fields["residual"] = interface_terms(rep.plain.canonical)
         fields["non_cancellable"] = [generator_object(g)
-                                     for g in rep.plain.residual.non_cancellable]
+                                     for g in rep.plain.non_cancellable]
         fields["assignments"] = None
     else:
         fields["residual"] = []
@@ -76,7 +76,7 @@ def _closed_doc(rep) -> dict:
             {
                 "assignment": {var: value for var, value in assignment},
                 "verdict": "closed" if case.closed else "not-closed",
-                "residual": interface_terms(case.residual.canonical),
+                "residual": interface_terms(case.canonical),
             }
             for assignment, case in rep.conditional.cases
         ]

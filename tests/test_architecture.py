@@ -14,7 +14,7 @@ from ftig.architecture import (
 )
 from ftig.catalog import Catalog
 from ftig.errors import LogFormatError, ScopeError
-from ftig.reflection import is_closed
+from ftig.reflection import reduce_modulo_reflection
 from ftig.transform import ConditionalInterface, ConditionLiteral, RefinementSpec, refine
 
 from conftest import COEFFS, interfaces, random_monoid_interface
@@ -98,13 +98,24 @@ class TestCheckClosed:
         assert not rep.closed
         assert any("c=true" in line for line in rep.residual_lines())
 
+    def test_conditional_verdict_needs_every_assignment(self):
+        c = ConditionLiteral("c")
+        rep = check_closed(arch(
+            ("g", ConditionalInterface(branches={c: Interface.term(service("f", "a", "m"))})),
+            ("f", ConditionalInterface(branches={c: Interface.term(client("g", "a", "m"))})),
+            ("h", ConditionalInterface(branches={ConditionLiteral("c", negated=True): I1})),
+        ))
+        assert [r.closed for _, r in rep.conditional.cases] == [False, True]
+        assert not rep.closed
+        assert not rep.conditional.closed
+
     def test_refinement_keeps_architecture_closed(self, rng):
         for _ in range(50):
             x = random_monoid_interface(rng)
             matched = x + Interface((g.reflection_partner(), c) for g, c in x)
             spec = RefinementSpec("e2", ("e2a", "e2b"))
-            from ftig.reflection import is_closed
-            assert is_closed(refine(matched, spec)).closed
+            from ftig.reflection import reduce_modulo_reflection
+            assert reduce_modulo_reflection(refine(matched, spec)).closed
 
 
 ORACLE_ENTITIES = ("e1", "e2", "e3")
@@ -170,7 +181,7 @@ class TestPlainClosednessOracle:
                 if entity != missing:
                     catalog.add_entity(entity)
         fused = plain_outcome(lambda: check_closed(a, catalog).plain)
-        staged = plain_outcome(lambda: is_closed(global_sum(a, catalog=catalog)))
+        staged = plain_outcome(lambda: reduce_modulo_reflection(global_sum(a, catalog=catalog)))
         assert fused == staged
 
 

@@ -332,9 +332,10 @@ class TestComply:
     def test_conditional_architecture_needs_assignment(self, capsys, tmp_path):
         log = tmp_path / "log.csv"
         log.write_text("g,f,a,m,T\n")
-        code, _, err = invoke(capsys, "comply", "--log", str(log),
-                              "CondPair", fx("conditional.fti"))
-        assert code == 2 and "assignment" in err
+        code, out, err = invoke(capsys, "comply", "--log", str(log),
+                                "CondPair", fx("conditional.fti"))
+        assert (code, out) == (2, "")
+        assert err == "error: member g is conditional; supply an assignment\n"
         code, out, _ = invoke(capsys, "comply", "--log", str(log), "--assign", "c=true",
                               "CondPair", fx("conditional.fti"))
         assert code == 0 and out == "COMPLIANT\n"
@@ -390,6 +391,33 @@ class TestComply:
                                 fx("two_entity.fti"), "--allow-undeclared")
         assert code == 1  # still checked, now as a warning plus violations
         assert "warning" in err
+
+    INCOMING_E2 = "warning: event 0: unmatched-incoming at e2 (closest: ~e1.a(m))\n"
+
+    @pytest.mark.parametrize("row, allow, want_code, want_err", [
+        ("e1,e2,a\x1b[31mRED,m,T", False, 2,
+         "error: event 0: undeclared action a\\x1b[31mRED\n"),
+        ("e1,e2,a\x1b[31mRED,m,T", True, 1,
+         "warning: event 0: undeclared action a\\x1b[31mRED\n" + INCOMING_E2),
+        ("x\x1b[2J,y\x07,a,m,T", False, 2,
+         "error: event 0: undeclared entity x\\x1b[2J; event 0: undeclared entity y\\x07\n"),
+        ("x\x1b[2J,y\x07,a,m,T", True, 2,
+         "warning: event 0: undeclared entity x\\x1b[2J\n"
+         "warning: event 0: undeclared entity y\\x07\n"
+         "error: event 0: neither x\\x1b[2J nor y\\x07 is an architecture member\n"),
+        ('"a\nb",e2,a,m,T', False, 2, "error: event 0: undeclared entity a\\nb\n"),
+        ('"a\nb",e2,a,m,T', True, 0,
+         "warning: event 0: undeclared entity a\\nb\n" + INCOMING_E2),
+        ("é,e2,a,m,T", False, 2, "error: event 0: undeclared entity é\n"),
+    ], ids=["ansi", "ansi-allowed", "clear-bell", "clear-bell-allowed", "newline",
+            "newline-allowed", "printable-non-ascii"])
+    def test_log_cells_are_escaped_on_stderr(self, capsys, tmp_path, row, allow,
+                                             want_code, want_err):
+        log = tmp_path / "log.csv"
+        log.write_text(row + "\n", encoding="utf-8")
+        code, _, err = invoke(capsys, "comply", "--log", str(log), "TwoEntity",
+                              fx("two_entity.fti"), *(("--allow-undeclared",) if allow else ()))
+        assert (code, err) == (want_code, want_err)
 
 
 MAX = 9223372036854775807
@@ -582,6 +610,21 @@ class TestExitCodes:
         code, out, err = invoke(capsys, "check", str(tmp_path))
         assert (code, out) == (2, "")
         assert err == f"error: cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    def test_colour_wraps_the_escaped_line(self, monkeypatch):
+        class Terminal(io.StringIO):
+            def isatty(self):
+                return True
+        monkeypatch.delenv("NO_COLOR", raising=False)
+        monkeypatch.setattr(sys, "stderr", Terminal())
+        cli._stderr("error: a\x1b[2J\u00a0é", "\x1b[31m")
+        cli._stderr("plain")
+        assert sys.stderr.getvalue() == "\x1b[31merror: a\\x1b[2J\\xa0é\x1b[0m\nplain\n"
+        monkeypatch.setenv("NO_COLOR", "1")
+        sys.stderr.truncate(0)
+        sys.stderr.seek(0)
+        cli._stderr("error: b", "\x1b[31m")
+        assert sys.stderr.getvalue() == "error: b\n"
 
 
 class TestColdStart:

@@ -4,7 +4,7 @@ import pytest
 
 from ftig.algebra import ALPHA_T, ALPHA_TF, CLIENT, SERVICE, Generator, Interface, client, service
 from ftig.errors import ScopeError
-from ftig.reflection import is_closed, reduce_modulo_reflection, reflect_generator
+from ftig.reflection import reduce_modulo_reflection, reflect_generator
 
 from conftest import TINY_ACTION, TINY_ENTITIES, TINY_MOTIVE, random_interface
 
@@ -38,10 +38,10 @@ class TestReduce:
     def test_matched_pair_vanishes(self):
         pair = Interface.term(service("e2", "a", "m", host="e1")) + \
             Interface.term(client("e1", "a", "m", host="e2"))
-        assert reduce_modulo_reflection(pair).is_zero
+        assert reduce_modulo_reflection(pair).closed
 
     def test_zero(self):
-        assert reduce_modulo_reflection(Interface.zero()).is_zero
+        assert reduce_modulo_reflection(Interface.zero()).closed
 
     def test_local_rejected(self):
         with pytest.raises(ScopeError):
@@ -52,7 +52,7 @@ class TestReduce:
         residual = reduce_modulo_reflection(Interface.term(g))
         assert residual.non_cancellable == (g,)
         assert residual.canonical.coefficient(g) == 1
-        assert not residual.is_zero
+        assert not residual.closed
 
     def test_homomorphism(self, rng):
         for _ in range(300):
@@ -69,13 +69,13 @@ class TestReduce:
         for t, h, a, m in itertools.product(entities, entities, actions, motives):
             pair = Interface.term(service(t, a, m, host=h)) + \
                 Interface.term(client(h, a, m, host=t))
-            assert reduce_modulo_reflection(pair).is_zero, (t, h, a, m)
+            assert reduce_modulo_reflection(pair).closed, (t, h, a, m)
             # self-transfer elements are reflector members on their own,
             # not only as two-element sums
             loop_service = Interface.term(service(t, a, m, host=t))
             loop_client = Interface.term(client(t, a, m, host=t))
-            assert reduce_modulo_reflection(loop_service).is_zero
-            assert reduce_modulo_reflection(loop_client).is_zero
+            assert reduce_modulo_reflection(loop_service).closed
+            assert reduce_modulo_reflection(loop_client).closed
 
     def test_adding_reflector_generators_never_changes_residual(self, rng):
         entities, actions, motives = ("e1", "e2", "e3", "e4"), ("a", "b"), ("m1", "m2", "m3")
@@ -107,6 +107,14 @@ class TestReduce:
                     assert not gen.is_self_loop
                 else:
                     assert gen in residual.non_cancellable
+
+    def test_verdict_and_non_cancellable_follow_the_input(self, rng):
+        # non-TF terms pass through unchanged; the verdict is a zero residual
+        for _ in range(200):
+            x = random_interface(rng, alphas=(ALPHA_TF, ALPHA_T))
+            residual = reduce_modulo_reflection(x)
+            assert residual.non_cancellable == tuple(g for g, _ in x if g.alpha != ALPHA_TF)
+            assert residual.closed == (residual.canonical == Interface.zero())
 
 
 # --------------------------------------------------------------------------
@@ -175,28 +183,28 @@ class TestIsClosed:
     def test_two_entity_example(self):
         pair = Interface.term(service("e2", "a", "m", host="e1")) + \
             Interface.term(client("e1", "a", "m", host="e2"))
-        assert is_closed(pair).closed
+        assert reduce_modulo_reflection(pair).closed
 
     def test_single_generator_reported(self):
-        report = is_closed(Interface.term(service("e2", "a", "m", host="e1")))
-        assert not report.closed
-        assert report.residual.canonical.coefficient(service("e2", "a", "m", host="e1")) == 1
-        assert report.residual_lines() == ["e1 -> e2 : a(m) x +1"]
+        residual = reduce_modulo_reflection(Interface.term(service("e2", "a", "m", host="e1")))
+        assert not residual.closed
+        assert residual.canonical.coefficient(service("e2", "a", "m", host="e1")) == 1
+        assert residual.residual_lines() == ["e1 -> e2 : a(m) x +1"]
 
     def test_self_transfer_closed(self):
-        assert is_closed(Interface.term(service("f", "a", "m", host="f"))).closed
+        assert reduce_modulo_reflection(Interface.term(service("f", "a", "m", host="f"))).closed
 
     def test_negative_residual_reported_as_incoming(self):
-        report = is_closed(Interface.term(client("e1", "a", "m", host="e2")))
-        assert not report.closed
-        assert report.residual_lines() == ["e1 -> e2 : a(m) x -1"]
+        residual = reduce_modulo_reflection(Interface.term(client("e1", "a", "m", host="e2")))
+        assert not residual.closed
+        assert residual.residual_lines() == ["e1 -> e2 : a(m) x -1"]
 
     def test_non_tf_never_closed(self):
         i = Interface.term(service("f", "a", "m", host="g", alpha=ALPHA_T))
-        report = is_closed(i)
-        assert not report.closed
-        assert report.residual_lines() == ["g -> f : a(m)/T x +1",
-                                           "non-cancellable reply constraint: f.a(m)@g/T"]
+        residual = reduce_modulo_reflection(i)
+        assert not residual.closed
+        assert residual.residual_lines() == ["g -> f : a(m)/T x +1",
+                                             "non-cancellable reply constraint: f.a(m)@g/T"]
 
 
 def pairing_oracle(iface):
@@ -224,7 +232,7 @@ def test_monoid_closedness_matches_pairing_oracle(rng):
         if k % 2:
             # make matched interfaces common: complete x with its partners
             x = x + Interface((g.reflection_partner(), c) for g, c in x)
-        verdict = is_closed(x).closed
+        verdict = reduce_modulo_reflection(x).closed
         assert verdict == pairing_oracle(x)
         seen_closed += verdict
     assert seen_closed > 50

@@ -13,7 +13,7 @@ from ftig import cli, report
 from ftig.algebra import ALPHAS, CLIENT, I64_MAX, I64_MIN, SERVICE, Generator, Interface
 from ftig.architecture import ArchitectureReport, Violation
 from ftig.errors import SourcePosition
-from ftig.reflection import ClosednessReport, Residual
+from ftig.reflection import Residual
 from ftig.speclang.resolver import Diagnostic
 from ftig.transform import AssignmentReport, ConditionalInterface, ConditionLiteral
 
@@ -61,14 +61,14 @@ VIOLATIONS = st.builds(Violation, st.integers(0, 10**9), TEXT,
                        st.sampled_from(("outgoing", "incoming")), NAMES,
                        st.lists(generators(), max_size=3).map(tuple))
 LITERALS = st.builds(ConditionLiteral, NAMES, st.booleans())
-REPORTS = interfaces().map(lambda iface: ClosednessReport.of(Residual.of(iface)))
+RESIDUALS = interfaces().map(Residual)
 
 
 @st.composite
 def assignment_cases(draw):
-    """Cases over a few variables; some cases share one report."""
+    """Cases over a few variables; some cases share one residual."""
     variables = draw(st.lists(NAMES, max_size=3, unique=True))
-    pool = draw(st.lists(REPORTS, min_size=1, max_size=3))
+    pool = draw(st.lists(RESIDUALS, min_size=1, max_size=3))
     return tuple(
         (tuple((var, draw(st.booleans())) for var in variables), draw(st.sampled_from(pool)))
         for _ in range(draw(st.integers(0, 5)))
@@ -119,10 +119,10 @@ class TestTemplateOracle:
     def test_violation(self, v, depth):
         assert report.violation_object(v, depth) == old_text(old._violation_object(v), depth)
 
-    @given(name=TEXT, closed=st.booleans(), depth=DEPTHS)
+    @given(name=TEXT, residual=RESIDUALS, depth=DEPTHS)
     @settings(max_examples=100, deadline=None)
-    def test_check(self, name, closed, depth):
-        rep = ArchitectureReport(name, closed)
+    def test_check(self, name, residual, depth):
+        rep = ArchitectureReport(name, residual)
         assert report.check_object(rep, depth) == old_text(old.check_object(rep), depth)
 
     @given(entity=NAMES, iface=interfaces(), depth=DEPTHS)
@@ -140,7 +140,7 @@ class TestTemplateOracle:
     @given(cases=assignment_cases(), depth=DEPTHS)
     @settings(max_examples=100, deadline=None)
     def test_assignment_cases(self, cases, depth):
-        rep = ArchitectureReport("A", False, conditional=AssignmentReport(False, cases))
+        rep = ArchitectureReport("A", conditional=AssignmentReport(cases))
         olds = old._closed_doc(rep)["assignments"]
         assert list(report.assignment_cases(cases, depth)) == \
             [old_text(obj, depth) for obj in olds]
@@ -169,17 +169,16 @@ class TestTemplateOracle:
 class TestDocumentOracle:
     """Whole documents from the CLI's builders equal the old ones."""
 
-    @given(name=TEXT, residual=REPORTS)
+    @given(name=TEXT, residual=RESIDUALS)
     @settings(max_examples=100, deadline=None)
     def test_plain_closed(self, name, residual):
-        rep = ArchitectureReport(name, residual.closed, plain=residual)
+        rep = ArchitectureReport(name, residual)
         assert report.dumps(cli._closed_doc(rep)) == old.dumps(old._closed_doc(rep))
 
     @given(name=TEXT, cases=assignment_cases())
     @settings(max_examples=100, deadline=None)
     def test_conditional_closed(self, name, cases):
-        closed = all(rep.closed for _, rep in cases)
-        rep = ArchitectureReport(name, closed, conditional=AssignmentReport(closed, cases))
+        rep = ArchitectureReport(name, conditional=AssignmentReport(cases))
         assert report.dumps(cli._closed_doc(rep)) == old.dumps(old._closed_doc(rep))
 
     @given(local=st.booleans(), data=st.data())

@@ -15,7 +15,7 @@ from ftig.architecture import (
 from ftig.catalog import Catalog, EntityDecl
 from ftig.errors import SourcePosition
 from ftig.locglob import Decomposition
-from ftig.reflection import ClosednessReport, Residual
+from ftig.reflection import Residual
 from ftig.speclang.astnodes import (
     ArchitectureDef, ArchMemberDef, CheckDirective, CondExpr, EntityItem, ExprNode,
     GenExpr, InterfaceDef, Item, NameItem, NegExpr, RefExpr, RefineDef,
@@ -36,8 +36,8 @@ def gen_expr():
                    host=None, alpha="TF")
 
 
-def closed_report():
-    return ClosednessReport(closed=True, residual=Residual(canonical=Interface.zero()))
+def zero_residual():
+    return Residual(canonical=Interface.zero())
 
 
 # one keyword-built instance of each record class, made fresh on each call
@@ -71,8 +71,8 @@ RECORDS = {
     # architecture
     ArchMember: lambda: ArchMember(entity="e", interface=ConditionalInterface(
         Interface.term(service("f", "a", "m"))), contained=True),
-    ArchitectureReport: lambda: ArchitectureReport(architecture="A", closed=True,
-                                                   plain=closed_report(), conditional=None),
+    ArchitectureReport: lambda: ArchitectureReport(architecture="A", plain=zero_residual(),
+                                                   conditional=None),
     TransferEvent: lambda: TransferEvent(source="e", destination="f", action="a",
                                          motive="m", reply="T"),
     Violation: lambda: Violation(index=3, kind="unmatched-outgoing", side="outgoing",
@@ -83,16 +83,13 @@ RECORDS = {
     RefinementSpec: lambda: RefinementSpec(coarse="e", parts=("p", "q")),
     RenameMap: lambda: RenameMap(entity_map={"e": "f"}, action_map={}, motive_map={"m": "n"}),
     ConditionLiteral: lambda: ConditionLiteral(variable="c", negated=True),
-    AssignmentReport: lambda: AssignmentReport(closed=True,
-                                               cases=(((("c", False),), closed_report()),)),
+    AssignmentReport: lambda: AssignmentReport(cases=(((("c", False),), zero_residual()),)),
     # catalog
     EntityDecl: lambda: EntityDecl(name="e:c", parent="e", extern=False),
     Catalog: lambda: Catalog(entities={"e": EntityDecl("e")}, actions={"a": False},
                              motives={"m": True}, condition_vars={"c"}),
     # reflection
-    Residual: lambda: Residual(canonical=Interface.term(service("f", "a", "m", host="e")),
-                               non_cancellable=()),
-    ClosednessReport: closed_report,
+    Residual: lambda: Residual(canonical=Interface.term(service("f", "a", "m", host="e"))),
     # resolver
     Diagnostic: lambda: Diagnostic(severity="warning", message="unused", pos=pos()),
     Resolution: lambda: Resolution(module=SpecModule(), catalog=Catalog(),
@@ -130,17 +127,17 @@ REPLACEMENTS = {
     TransferEvent: ("reply", "F"), Violation: ("index", 4),
     ComplianceReport: ("warnings", (Violation(1, "unmatched-incoming", "incoming", "f"),)),
     RefinementSpec: ("coarse", "g"), RenameMap: ("action_map", {"a": "b"}),
-    ConditionLiteral: ("variable", "d"), AssignmentReport: ("closed", False),
+    ConditionLiteral: ("variable", "d"), AssignmentReport: ("cases", ()),
     EntityDecl: ("extern", True), Catalog: ("condition_vars", set()),
-    Residual: ("non_cancellable", (service("f", "a", "m", host="e", alpha="T"),)),
-    ClosednessReport: ("closed", False), Diagnostic: ("severity", "error"),
+    Residual: ("canonical", Interface.term(service("f", "a", "m", host="e", alpha="T"))),
+    Diagnostic: ("severity", "error"),
     Resolution: ("monoid_names", set()), Generator: ("alpha", "F"),
     Decomposition: ("parts", ()),
 }
 
 
 def test_every_record_class_is_covered():
-    assert len(RECORDS) == 35
+    assert len(RECORDS) == 34
     assert REPLACEMENTS.keys() == RECORDS.keys()
 
 
