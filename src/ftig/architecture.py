@@ -15,7 +15,6 @@ theirs.
 
 from __future__ import annotations
 
-import csv
 import io
 
 from .algebra import (
@@ -208,6 +207,8 @@ def read_event_log(text: str) -> list[TransferEvent]:
     A row that is malformed, or that the ``csv`` module cannot read (an
     over-long field, or a NUL byte before Python 3.11), raises
     ``LogFormatError`` naming the row."""
+    import csv  # only ``comply`` reads a log; other runs skip the import
+
     events = []
     row_no = 0
     try:

@@ -5,14 +5,18 @@ error (parse, resolution, unknown name, malformed or undecodable input:
 any ``errors.SpecError``, whose subclasses include ``ScopeError``,
 ``ParseError`` and ``LogFormatError``), 3 capacity or arithmetic error,
 4 internal error (any other exception, a builtin ``ValueError`` included,
-reported by ``main`` on one line; ``run`` lets it propagate).  Results go
-to stdout, diagnostics to stderr, one line each with unprintable characters
-escaped; set NO_COLOR to disable ANSI coloring of diagnostics.
+reported by ``main`` on one line; ``run`` lets it propagate).  A stdout that
+cannot be written (a full disk, a pipe whose reader has gone) is an internal
+error too: ``main`` flushes stdout before it exits, so the failure is exit 4
+whether or not output is buffered.  Results go to stdout, diagnostics and
+usage errors to stderr, one line each with unprintable characters escaped;
+set NO_COLOR to disable ANSI coloring of diagnostics.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -53,7 +57,7 @@ def _print_diagnostics(diags):
 
 def _read_text(path) -> str:
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             return f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SpecError(f"cannot read {path}: {exc}") from exc
@@ -353,8 +357,19 @@ def _add_common(sp):
                     help="treat undeclared names as extern declarations (warn only)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose usage errors go through ``_stderr``, so
+    argv text in them is escaped; subcommand parsers inherit the class."""
+
+    def error(self, message):
+        for line in self.format_usage().splitlines():
+            _stderr(line)
+        _stderr(f"{self.prog}: error: {message}")
+        self.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fti",
         description="Interface-group toolchain for financial-transfer architectures.",
     )
@@ -442,13 +457,26 @@ def run(argv=None) -> int:
 
 
 def main():
+    # ftig's values are acyclic (records, tuples and dicts), so on a one-shot
+    # run the cyclic collector and the interpreter's teardown (a last full
+    # collection, then clearing every module) only cost time: collect nothing,
+    # and leave with os._exit once stdout and stderr are flushed.  run() and
+    # the library keep the collector.
+    gc.disable()
     try:
-        code = run()
-    except Exception as exc:  # a fault in ftig must not read as a verdict
-        message = " ".join(str(exc).splitlines())
-        _stderr(f"internal error: {type(exc).__name__}: {message}")
-        code = 4
-    sys.exit(code)
+        try:
+            code = run()
+            if sys.stdout is not None:
+                sys.stdout.flush()  # inside the try: an unwritable stdout is exit 4
+        except Exception as exc:  # a fault in ftig must not read as a verdict
+            message = " ".join(str(exc).splitlines())
+            _stderr(f"internal error: {type(exc).__name__}: {message}")
+            code = 4
+        if sys.stderr is not None:
+            sys.stderr.flush()
+        os._exit(code)
+    finally:  # reached only if os._exit is replaced, or on SystemExit or KeyboardInterrupt
+        gc.enable()
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
+import gc
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -538,6 +540,18 @@ class TestExitCodes:
         assert err.startswith(f"error: cannot read {bad}: ")
         assert err.count("\n") == 1
 
+    def test_utf8_byte_order_mark_is_read(self, capsys, tmp_path):
+        # spreadsheets start CSV files with one; so may editors a .fti file
+        spec = tmp_path / "bom.fti"
+        spec.write_text("\ufeff" + (FIXTURES / "two_entity.fti").read_text(encoding="utf-8"),
+                        encoding="utf-8")
+        assert invoke(capsys, "closed", "TwoEntity", str(spec)) == (0, "CLOSED\n", "")
+        log = tmp_path / "bom.csv"  # its first row is the header
+        log.write_text("\ufeff" + (FIXTURES / "log_ok.csv").read_text(encoding="utf-8"),
+                       encoding="utf-8")
+        assert invoke(capsys, "comply", "--log", str(log), "TwoEntity",
+                      fx("two_entity.fti")) == (0, "COMPLIANT\n", "")
+
     @pytest.mark.parametrize("argv, message", [
         (("localize", "-e", "e1", "I1", fx("two_entity.fti")),
          "localize expects a global interface"),
@@ -562,16 +576,25 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == f"error: {spec}:4:15: unexpected character {digit!r}\n"
 
-    def test_internal_error_is_exit_4(self, capsys, monkeypatch):
+    @pytest.fixture
+    def exit_raises(self, monkeypatch):
+        """``os._exit`` raises ``SystemExit``, so ``cli.main`` returns to the test."""
+        def exit_(code):
+            raise SystemExit(code)
+        monkeypatch.setattr(os, "_exit", exit_)
+
+    def test_internal_error_is_exit_4(self, capsys, monkeypatch, exit_raises):
         def broken(args):
             raise RuntimeError("two\nlines")
         monkeypatch.setattr(cli, "_cmd_closed", broken)
         with pytest.raises(RuntimeError):  # run() lets faults propagate
             run(["closed", "TwoEntity", fx("two_entity.fti")])
+        assert gc.isenabled()  # run() leaves the collector alone
         monkeypatch.setattr(sys, "argv", ["fti", "closed", "TwoEntity", fx("two_entity.fti")])
         with pytest.raises(SystemExit) as exit_info:
             cli.main()
         assert exit_info.value.code == 4
+        assert gc.isenabled()
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "internal error: RuntimeError: two lines\n"
@@ -581,7 +604,8 @@ class TestExitCodes:
         ("comply_events", ("comply", "--log", fx("log_ok.csv"), "TwoEntity",
                            fx("two_entity.fti"))),
     ])
-    def test_builtin_value_error_is_exit_4(self, capsys, monkeypatch, patched, argv):
+    def test_builtin_value_error_is_exit_4(self, capsys, monkeypatch, exit_raises, patched,
+                                           argv):
         # a ValueError that is not a SpecError is a fault, not bad input
         def broken(*args, **kwargs):
             raise ValueError("too many values to unpack (expected 2)")
@@ -590,6 +614,7 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exit_info:
             cli.main()
         assert exit_info.value.code == 4
+        assert gc.isenabled()
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "internal error: ValueError: too many values to unpack (expected 2)\n"
@@ -629,7 +654,7 @@ class TestExitCodes:
 
 class TestColdStart:
     # modules that start-up must not import: each costs milliseconds on every run
-    UNWANTED = ("dataclasses", "inspect", "typing", "pathlib", "json")
+    UNWANTED = ("dataclasses", "inspect", "typing", "pathlib", "json", "csv")
 
     def test_cli_import_loads_no_heavy_modules(self):
         # -S keeps the interpreter's site hooks, which may import anything, out of the check
@@ -639,6 +664,95 @@ class TestColdStart:
                              capture_output=True, text=True, env=cli_env())
         assert out.returncode == 0, out.stderr
         assert out.stdout == "[]\n"
+
+    def test_library_keeps_the_collector(self):
+        # only main() turns the cyclic collector off
+        code = ("import gc, ftig; from ftig import cli; "
+                f"cli.run(['closed', 'TwoEntity', {fx('two_entity.fti')!r}]); "
+                "print(gc.isenabled())")
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, env=cli_env())
+        assert (out.returncode, out.stdout, out.stderr) == (0, "CLOSED\nTrue\n", "")
+
+
+def _buffered_env():
+    """``cli_env()`` with ``PYTHONUNBUFFERED`` unset: the child's stdout is
+    block-buffered, so output is lost unless ``main`` flushes it."""
+    env = cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _fti(argv, **kwargs):
+    return subprocess.run([sys.executable, "-m", "ftig.cli", *argv], **kwargs)
+
+
+class TestProcessExit:
+    """``main`` leaves through ``os._exit``: what it wrote must all arrive."""
+
+    K = 12  # 2^12 assignments: each JSON report below is far over a 64 KiB pipe buffer
+
+    @pytest.fixture(scope="class")
+    def specs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("large")
+        cond = tmp / "cond.fti"
+        terms = range(self.K)
+        cond.write_text("entity g\nentity f\naction a\nmotive m\n"
+                        + "".join(f"condition c{i}\n" for i in terms)
+                        + "interface Out @local { "
+                        + " + ".join(f"(f.a(m) <| c{i} |> 0)" for i in terms) + " }\n"
+                        + "interface In @local { "
+                        + " + ".join(f"(~g.a(m) <| c{i} |> 0)" for i in terms) + " }\n"
+                        + "architecture Pair { g : Out, f : In }\n"
+                        + "architecture Half { g : Out }\n")
+        bad = tmp / "bad.fti"
+        bad.write_text("interface Bad @local { "
+                       + " + ".join(f"x{i}.a(m)" for i in range(2000)) + " }\n")
+        return str(cond), str(bad)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command, code", [
+        (("closed", "Pair"), 0), (("closed", "Half"), 1), (("check",), 2),
+    ], ids=["closed", "not-closed", "undeclared"])
+    def test_hard_exit_loses_no_output(self, capsys, specs, command, code, fmt):
+        argv = [*command, *(specs if code == 2 else specs[:1]), "--format", fmt]
+        child = _fti(argv, capture_output=True, env=_buffered_env())
+        assert run(argv) == code
+        out, err = capsys.readouterr()
+        assert fmt == "text" or len(out) > 64 * 1024
+        assert child.returncode == code
+        assert child.stdout == out.encode()
+        assert child.stderr == err.encode()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    def test_unwritable_stdout_is_exit_4(self, unbuffered):
+        env = _buffered_env()
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        with open("/dev/full", "w") as full:
+            child = _fti(["closed", "TwoEntity", fx("two_entity.fti")],
+                         stdout=full, stderr=subprocess.PIPE, env=env)
+        assert child.returncode == 4
+        assert child.stderr == b"internal error: OSError: [Errno 28] No space left on device\n"
+
+    def test_usage_errors_and_help(self, capsys, monkeypatch):
+        # argparse's messages go through _stderr, which escapes argv text
+        child = _fti(["check", "--\x1b[2Jx", fx("two_entity.fti")],
+                     capture_output=True, env=cli_env())
+        assert (child.returncode, child.stdout) == (2, b"")
+        assert child.stderr == (b"usage: fti [-h] COMMAND ...\n"
+                                b"fti: error: unrecognized arguments: --\\x1b[2Jx\n")
+        # main() prints what run() prints, and keeps argparse's exit status
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv, code in ((["closed", "TwoEntity"], 2), (["--help"], 0)):
+            child = _fti(argv, capture_output=True, env=cli_env(COLUMNS="80"))
+            with pytest.raises(SystemExit) as exit_info:
+                run(argv)
+            out, err = capsys.readouterr()
+            assert child.returncode == exit_info.value.code == code
+            assert (child.stdout, child.stderr) == (out.encode(), err.encode())
+        assert out.startswith("usage: fti [-h] COMMAND ...") and err == ""
 
 
 SPEC_BYTES = (FIXTURES / "two_entity.fti").read_bytes()
