@@ -8,17 +8,26 @@ any ``errors.SpecError``, whose subclasses include ``ScopeError``,
 reported by ``main`` on one line; ``run`` lets it propagate).  A stdout that
 cannot be written (a full disk, a pipe whose reader has gone) is an internal
 error too: ``main`` flushes stdout before it exits, so the failure is exit 4
-whether or not output is buffered.  Results go to stdout, diagnostics and
-usage errors to stderr, one line each with unprintable characters escaped;
-set NO_COLOR to disable ANSI coloring of diagnostics.
+whether or not output is buffered.  A closed stdout is exit 4 in every
+format, with ``internal error: OSError: stdout is closed``, once a command
+has a result to write.  Results go to stdout, diagnostics and usage errors to
+stderr, one line each with unprintable characters escaped; with stderr closed
+they are dropped, never sent to stdout.  Set NO_COLOR to disable ANSI
+coloring of diagnostics.
+
+The commands are declared once, as data, in ``COMMANDS``; add a command
+there and write its ``_cmd_NAME`` handler.  ``run`` reads the common forms
+of argv with a small matcher over that table, and builds the ``argparse``
+parser only for help, usage errors and the forms the matcher declines, so
+argparse is the one source of help and usage text.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
+from types import SimpleNamespace
 
 from . import report
 from .algebra import Interface
@@ -41,8 +50,11 @@ def _stderr(line: str, color: str = "") -> None:
     Each character that ``str.isprintable`` rejects is escaped as ``repr``
     escapes it, so text from the input cannot break the line or reach the
     terminal as a control sequence; then ``color``, an ANSI code, wraps the
-    line when stderr is a terminal and NO_COLOR is unset.
+    line when stderr is a terminal and NO_COLOR is unset.  With stderr
+    closed nothing is written: ``print`` would fall back to stdout.
     """
+    if sys.stderr is None:
+        return
     if not line.isprintable():
         line = "".join(c if c.isprintable() else repr(c)[1:-1] for c in line)
     if color and sys.stderr.isatty() and not os.environ.get("NO_COLOR"):
@@ -100,7 +112,9 @@ def _get_architecture(res, name) -> Architecture:
 
 def _emit(args, doc, lines):
     """Write the JSON document ``doc()`` or the text ``lines()``, as ``--format``
-    asks; only the one written is built."""
+    asks; only the one written is built.  A closed stdout is a fault."""
+    if sys.stdout is None:
+        raise OSError("stdout is closed")
     if args.format == "json":
         sys.stdout.write(report.dumps(doc()))
     else:
@@ -348,101 +362,152 @@ def _cmd_comply(args) -> int:
 
 # --------------------------------------------------------------- parser
 
-def _add_common(sp):
-    sp.add_argument("files", nargs="+", metavar="FILE",
-                    help=".fti specification files, concatenated in order")
-    sp.add_argument("--format", choices=("text", "json"), default="text",
-                    help="output format (default: text)")
-    sp.add_argument("--allow-undeclared", action="store_true",
-                    help="treat undeclared names as extern declarations (warn only)")
+def _arg(*flags, **kwargs):
+    """One ``add_argument`` call, as data: its name or flags and keywords."""
+    return flags, kwargs
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ``ArgumentParser`` whose usage errors go through ``_stderr``, so
-    argv text in them is escaped; subcommand parsers inherit the class."""
+# every command's last arguments, in add_argument order
+_COMMON = (
+    _arg("files", nargs="+", metavar="FILE",
+         help=".fti specification files, concatenated in order"),
+    _arg("--format", choices=("text", "json"), default="text",
+         help="output format (default: text)"),
+    _arg("--allow-undeclared", action="store_true",
+         help="treat undeclared names as extern declarations (warn only)"),
+)
 
-    def error(self, message):
-        for line in self.format_usage().splitlines():
-            _stderr(line)
-        _stderr(f"{self.prog}: error: {message}")
-        self.exit(2)
+# name -> (help, the arguments before _COMMON, in add_argument order).  The
+# order is argparse's too: it lists missing required arguments in it.  Command
+# NAME runs _cmd_NAME, looked up when argv is parsed.  An option's long flag
+# comes last; its dest is derived from it, as argparse derives it.
+COMMANDS = {
+    "check": ("parse, resolve and lint; run check directives", ()),
+    "closed": ("zero-sum closedness check of an architecture", (_arg("architecture"),)),
+    "normalize": ("print the normal form of a named interface", (
+        _arg("interface"),
+        _arg("--modulo-reflection", action="store_true",
+             help="reduce to the canonical residual modulo reflection"),
+        _arg("--expand-motives", action="store_true", help="distribute composite motives first"),
+    )),
+    "localize": ("project a global interface onto one entity", (
+        _arg("-e", "--entity", required=True), _arg("interface"),
+    )),
+    "globalize": ("host a local interface at an entity", (
+        _arg("-e", "--entity", required=True), _arg("interface"),
+    )),
+    "decompose": ("split a global interface into per-entity parts", (_arg("interface"),)),
+    "refine": ("expand one entity into parallel parts", (
+        _arg("-f", "--entity", required=True, help="coarse entity to expand"),
+        _arg("--into", required=True, help="comma-separated part entities"),
+        _arg("interface"),
+    )),
+    "rename": ("apply a catalog renaming to an interface", (
+        _arg("--map", required=True, help="rename map file"), _arg("interface"),
+    )),
+    "diff": ("per-entity deltas between two architectures", (_arg("a"), _arg("b"))),
+    "comply": ("check a transfer-event log against an architecture", (
+        _arg("--log", required=True,
+             help="CSV event log: source,destination,action,motive,reply"),
+        _arg("--assign", action="append", metavar="VAR=BOOL",
+             help="condition assignment for conditional members (repeatable)"),
+        _arg("architecture"),
+    )),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+def build_parser():
+    """The full ``argparse`` parser of ``COMMANDS``, which ``run`` uses for
+    help and usage errors; argparse is imported only here."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """Usage errors go through ``_stderr``, so argv text in them is
+        escaped; subcommand parsers inherit the class."""
+
+        def error(self, message):
+            for line in self.format_usage().splitlines():
+                _stderr(line)
+            _stderr(f"{self.prog}: error: {message}")
+            self.exit(2)
+
+    parser = Parser(
         prog="fti",
         description="Interface-group toolchain for financial-transfer architectures.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    sp = sub.add_parser("check", help="parse, resolve and lint; run check directives")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_check)
-
-    sp = sub.add_parser("closed", help="zero-sum closedness check of an architecture")
-    sp.add_argument("architecture")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_closed)
-
-    sp = sub.add_parser("normalize", help="print the normal form of a named interface")
-    sp.add_argument("interface")
-    sp.add_argument("--modulo-reflection", action="store_true",
-                    help="reduce to the canonical residual modulo reflection")
-    sp.add_argument("--expand-motives", action="store_true",
-                    help="distribute composite motives first")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_normalize)
-
-    sp = sub.add_parser("localize", help="project a global interface onto one entity")
-    sp.add_argument("-e", "--entity", required=True)
-    sp.add_argument("interface")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_localize)
-
-    sp = sub.add_parser("globalize", help="host a local interface at an entity")
-    sp.add_argument("-e", "--entity", required=True)
-    sp.add_argument("interface")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_globalize)
-
-    sp = sub.add_parser("decompose", help="split a global interface into per-entity parts")
-    sp.add_argument("interface")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_decompose)
-
-    sp = sub.add_parser("refine", help="expand one entity into parallel parts")
-    sp.add_argument("-f", "--entity", required=True, help="coarse entity to expand")
-    sp.add_argument("--into", required=True, help="comma-separated part entities")
-    sp.add_argument("interface")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_refine)
-
-    sp = sub.add_parser("rename", help="apply a catalog renaming to an interface")
-    sp.add_argument("--map", required=True, help="rename map file")
-    sp.add_argument("interface")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_rename)
-
-    sp = sub.add_parser("diff", help="per-entity deltas between two architectures")
-    sp.add_argument("a")
-    sp.add_argument("b")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_diff)
-
-    sp = sub.add_parser("comply", help="check a transfer-event log against an architecture")
-    sp.add_argument("--log", required=True, help="CSV event log: source,destination,action,motive,reply")
-    sp.add_argument("--assign", action="append", metavar="VAR=BOOL",
-                    help="condition assignment for conditional members (repeatable)")
-    sp.add_argument("architecture")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_comply)
-
+    for name, (text, arguments) in COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        for flags, kwargs in (*arguments, *_COMMON):
+            sp.add_argument(*flags, **kwargs)
+        sp.set_defaults(handler=globals()[f"_cmd_{name}"])
     return parser
 
 
+def _match(argv):
+    """The namespace ``build_parser().parse_args(argv)`` returns, or ``None``
+    where argparse must read argv.
+
+    It declines rather than emulates: a first word that is not a command,
+    a word starting with ``-`` that is not exactly one of the command's
+    flags (``-h``, ``--``, ``-``, ``--opt=value`` and abbreviations), a
+    missing value, a value starting with ``-`` or outside its choices, a
+    missing positional or required option, and a positional word after
+    ``FILE...`` has taken its words.  As in argparse, each run of words
+    between options fills the remaining positionals in order, and
+    ``FILE...`` takes the rest of its run.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    name = argv[0]
+    values = {"command": name, "handler": globals()[f"_cmd_{name}"]}
+    options, positionals, required = {}, [], []
+    for flags, kwargs in (*COMMANDS[name][1], *_COMMON):
+        if not flags[0].startswith("-"):
+            positionals.append(flags[0])
+            continue
+        dest = flags[-1][2:].replace("-", "_")
+        action = kwargs.get("action")
+        values[dest] = False if action == "store_true" else kwargs.get("default")
+        if kwargs.get("required"):
+            required.append(dest)
+        options.update(dict.fromkeys(flags, (dest, action, kwargs.get("choices"))))
+    groups = [[]]  # the runs of positional words between options
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            groups[-1].append(word)
+            continue
+        if word not in options:
+            return None
+        dest, action, choices = options[word]
+        groups.append([])
+        if action == "store_true":
+            values[dest] = True
+            continue
+        value = next(words, "-")  # a missing value declines as a "-" one does
+        if value.startswith("-") or (choices and value not in choices):
+            return None
+        values[dest] = [*(values[dest] or ()), value] if action == "append" else value
+    for group in filter(None, groups):
+        if not positionals:
+            return None  # argparse: unrecognized arguments
+        if len(group) < len(positionals):
+            values.update(zip(positionals, group))
+            positionals = positionals[len(group):]
+        else:
+            values.update(zip(positionals[:-1], group))
+            values[positionals[-1]] = group[len(positionals) - 1:]
+            positionals = []
+    if positionals or any(values[dest] is None for dest in required):
+        return None
+    return SimpleNamespace(**values)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _match(argv) or build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except SpecError as exc:

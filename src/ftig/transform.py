@@ -304,13 +304,13 @@ def closed_under_all_assignments(cond: ConditionalInterface) -> AssignmentReport
         raise CapacityError(
             f"{len(variables)} condition variables exceed the limit of {MAX_CONDITION_VARS}"
         )
-    rows = list(itertools.product((False, True), repeat=len(variables)))
+    # each case is a row of (variable, value) pairs; all rows share the 2k pairs
+    rows = list(itertools.product(*(((var, False), (var, True)) for var in variables)))
     magnitude = sum(abs(c) for part in (cond.unconditional, *(i for _, i in cond.branches))
                     for _, c in part)
     # reducing first could hide an evaluation's overflow or local scope: evaluate those
     if cond.scope == LOCAL or magnitude > I64_MAX:
-        residuals = [reduce_modulo_reflection(eval_conditional(cond, dict(zip(variables, values))))
-                     for values in rows]
+        residuals = [reduce_modulo_reflection(eval_conditional(cond, dict(row))) for row in rows]
     else:
         base = reduce_modulo_reflection(cond.unconditional).canonical
         reduced = [(lit, reduce_modulo_reflection(iface).canonical)
@@ -321,14 +321,12 @@ def closed_under_all_assignments(cond: ConditionalInterface) -> AssignmentReport
         # assignments that select the same reduced branches share one residual
         distinct: dict[tuple[int, ...], Residual] = {}
         residuals = []
-        for values in rows:
-            selected = tuple(i for i, (j, negated) in enumerate(guards) if values[j] != negated)
+        for row in rows:
+            selected = tuple(i for i, (j, negated) in enumerate(guards) if row[j][1] != negated)
             residual = distinct.get(selected)
             if residual is None:
                 residual = distinct[selected] = Residual(interface_sum(
                     (base, *(reduced[i][1] for i in selected))
                 ))
             residuals.append(residual)
-    cases = tuple((tuple(zip(variables, values)), residual)
-                  for values, residual in zip(rows, residuals))
-    return AssignmentReport(cases)
+    return AssignmentReport(tuple(zip(rows, residuals)))

@@ -1,4 +1,5 @@
 import gc
+import importlib.util
 import io
 import json
 import os
@@ -16,6 +17,7 @@ from ftig import cli
 from ftig.cli import run
 
 from conftest import FIXTURES, cli_env
+from test_acceptance import CLI_RUNS
 
 
 def fx(name):
@@ -652,6 +654,109 @@ class TestExitCodes:
         assert sys.stderr.getvalue() == "error: b\n"
 
 
+def _benchmark_argv():
+    """The argv of every ``perfbench`` workload's seed-1 instances."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", FIXTURES.parents[1] / "perfbench" / "gen.py")
+    gen = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for @dataclass
+    spec.loader.exec_module(gen)
+    return [inst.argv for workload in sorted(gen.WORKLOADS)
+            for inst in gen.generate(workload, 1)]
+
+
+PARSER = cli.build_parser()
+
+
+def _argparse_vars(argv):
+    """``vars`` of argparse's namespace for ``argv``, or the exit status it
+    leaves with (help or a usage error)."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(PARSER.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+FLAGS = sorted({flag for _, arguments in cli.COMMANDS.values()
+                for flags, _ in (*arguments, *cli._COMMON) for flag in flags
+                if flag.startswith("-")})
+
+PLAIN_WORDS = st.sampled_from(["text", "json", "a", "b", "f.fti", "c=true", "e1,e2", ""])
+ARGV_WORDS = st.one_of(
+    st.sampled_from([*cli.COMMANDS, "nope"]),
+    st.sampled_from(FLAGS),
+    st.sampled_from(FLAGS).flatmap(lambda f: st.sampled_from([f[:n] for n in range(2, len(f))]
+                                                              or ["-"])),
+    st.sampled_from(FLAGS).map(lambda f: f + "=json"),
+    st.sampled_from(["-h", "--help", "--", "-", "-x", "-1", "--x"]),
+    PLAIN_WORDS,
+)
+
+
+@st.composite
+def argvs(draw):
+    """Mostly a command name, then pieces: mostly plain words and that
+    command's options with a value, sometimes any word of ``ARGV_WORDS``."""
+    first = draw(st.sampled_from(list(cli.COMMANDS)) if draw(st.integers(0, 7))
+                 else ARGV_WORDS)
+    arguments = (*cli.COMMANDS.get(first, ("", ()))[1], *cli._COMMON)
+    options = [(flags, kwargs) for flags, kwargs in arguments if flags[0].startswith("-")]
+    argv = [first]
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.integers(0, 6))
+        if kind < 3:
+            argv.append(draw(PLAIN_WORDS))
+        elif kind < 6:
+            flags, kwargs = draw(st.sampled_from(options))
+            argv.append(draw(st.sampled_from(flags)))
+            if kwargs.get("action") != "store_true":
+                argv.append(draw(st.sampled_from(kwargs["choices"]) if "choices" in kwargs
+                                 else PLAIN_WORDS))
+        else:
+            argv.append(draw(ARGV_WORDS))
+    return argv
+
+
+class TestArgvMatcher:
+    """``run`` reads argv with ``cli._match`` and falls back to argparse
+    when it declines; where it does not decline it must agree with argparse."""
+
+    @given(argvs())
+    @settings(max_examples=400, deadline=None)
+    def test_matcher_agrees_with_argparse(self, argv):
+        got = cli._match(argv)
+        if got is not None:
+            assert vars(got) == _argparse_vars(argv)
+
+    @pytest.mark.parametrize("argv", [argv for _, argv in CLI_RUNS] + _benchmark_argv(),
+                             ids=" ".join)
+    def test_common_argv_take_the_fast_path(self, argv):
+        got = cli._match(list(argv))
+        assert got is not None
+        assert vars(got) == _argparse_vars(list(argv))
+
+    def test_every_command_is_in_the_acceptance_runs(self):
+        assert {argv[0] for _, argv in CLI_RUNS} == set(cli.COMMANDS)
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "a.fti", "--format", "json", "b.fti"],  # FILE... has taken its words
+        ["closed", "A", "f.fti", "--bogus"],
+        ["closed", "--form", "json", "A", "f.fti"],  # an abbreviation
+        ["closed", "--format=json", "A", "f.fti"],
+        ["closed", "--format", "xml", "A", "f.fti"],
+        ["closed", "A", "f.fti", "--format"],
+        ["localize", "Sum", "f.fti"],  # a required option missing
+        ["localize", "-e", "-x", "Sum", "f.fti"],
+        ["closed", "A"],
+        ["closed", "-h"],
+        ["closed", "--", "A", "f.fti"],
+        ["clos", "A", "f.fti"],
+        [],
+    ], ids=repr)
+    def test_declines(self, argv):
+        assert cli._match(argv) is None
+
+
 class TestColdStart:
     # modules that start-up must not import: each costs milliseconds on every run
     UNWANTED = ("dataclasses", "inspect", "typing", "pathlib", "json", "csv")
@@ -664,6 +769,23 @@ class TestColdStart:
                              capture_output=True, text=True, env=cli_env())
         assert out.returncode == 0, out.stderr
         assert out.stdout == "[]\n"
+
+    def test_commands_run_without_argparse(self):
+        # every acceptance run (each command at least once), then a usage
+        # error, all in one -S child
+        code = ("import sys; from ftig import cli\n"
+                f"codes = [cli.run(list(argv)) for _, argv in {CLI_RUNS!r}]\n"
+                "print(codes, sorted(m for m in ('argparse', 'gettext', 'locale')"
+                " if m in sys.modules))\n"
+                "cli.run(['closed', 'TwoEntity'])\n")
+        out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                             text=True, cwd=FIXTURES, env=cli_env(COLUMNS="80"))
+        assert out.stdout.endswith(f"{[code for code, _ in CLI_RUNS]} []\n")
+        assert out.returncode == 2
+        assert out.stderr.endswith(
+            "usage: fti closed [-h] [--format {text,json}] [--allow-undeclared]\n"
+            "                  architecture FILE [FILE ...]\n"
+            "fti closed: error: the following arguments are required: FILE\n")
 
     def test_library_keeps_the_collector(self):
         # only main() turns the cyclic collector off
@@ -735,6 +857,18 @@ class TestProcessExit:
                          stdout=full, stderr=subprocess.PIPE, env=env)
         assert child.returncode == 4
         assert child.stderr == b"internal error: OSError: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_closed_stdout_is_exit_4(self, fmt):
+        child = _fti(["closed", "TwoEntity", fx("two_entity.fti"), "--format", fmt],
+                     stderr=subprocess.PIPE, env=cli_env(), preexec_fn=lambda: os.close(1))
+        assert child.returncode == 4
+        assert child.stderr == b"internal error: OSError: stdout is closed\n"
+
+    def test_closed_stderr_keeps_diagnostics_off_stdout(self):
+        child = _fti(["closed", "Nope", fx("two_entity.fti")], stdout=subprocess.PIPE,
+                     env=cli_env(), preexec_fn=lambda: os.close(2))
+        assert (child.returncode, child.stdout) == (2, b"")
 
     def test_usage_errors_and_help(self, capsys, monkeypatch):
         # argparse's messages go through _stderr, which escapes argv text

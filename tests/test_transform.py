@@ -436,6 +436,19 @@ class TestAllAssignmentsOracle:
         assert outcome(closed_under_all_assignments, cond) == \
             outcome(enumerated_closedness, cond)
 
+    @pytest.mark.parametrize("coefficient", [1, HALF], ids=["reduced", "evaluated"])
+    def test_cases_share_their_pairs(self, coefficient):
+        # each case lists (variable, value) pairs in the parent's order; the 2^3
+        # cases hold the same 6 pair objects between them
+        terms = [Interface.term(service(t, a, "m", host="g"), coefficient)
+                 for t in ("f", "h") for a in ("a", "b")]
+        cond = ConditionalInterface(terms[0], {ConditionLiteral(v): iface
+                                               for v, iface in zip("cde", terms[1:])})
+        cases = [case for case, _ in closed_under_all_assignments(cond).cases]
+        assert cases == [tuple(zip("cde", values))
+                         for values in itertools.product((False, True), repeat=3)]
+        assert len({id(pair) for case in cases for pair in case}) == 6
+
 
 # ------------------------------------------------- homomorphism oracle
 
