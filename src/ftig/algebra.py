@@ -246,13 +246,11 @@ class Interface:
         return self._scope != GLOBAL
 
     # a plain interface reads as a conditional one with no branches
+    branches: tuple = ()
+
     @property
     def unconditional(self) -> Interface:
         return self
-
-    @property
-    def branches(self) -> tuple:
-        return ()
 
     def in_monoid(self) -> bool:
         """True when every coefficient is positive and every reply constraint is TF."""

@@ -1,10 +1,11 @@
 """Named components, architecture closedness checking, diffing, and
 transfer-event-log compliance.
 
-An architecture is a sequence of named local interfaces.  Its global sum
-hosts each member interface at its entity; the architecture is closed when
-that sum vanishes modulo reflection (under every condition assignment, if
-members carry conditional branches).
+An architecture is a sequence of named local interfaces, the listings of a
+repeated entity summed in order by one ``transform.ConditionalSum``.  Its
+global sum hosts each member interface at its entity; the architecture is
+closed when that sum vanishes modulo reflection (under every condition
+assignment, if members carry conditional branches).
 
 The plain check reduces the members in one pass
 (``reflection.reduce_hosted``); when the coefficients are large enough
@@ -27,8 +28,8 @@ from .locglob import globalize, require_entity
 from .record import Record
 from .reflection import Residual, reduce_hosted, reduce_modulo_reflection
 from .transform import (
-    AssignmentReport, ConditionalInterface, closed_under_all_assignments, conditional_sum,
-    eval_conditional, expand_motives, map_parts, plain_if_possible,
+    AssignmentReport, ConditionalInterface, ConditionalSum, closed_under_all_assignments,
+    conditional_sum, eval_conditional, expand_motives, map_parts, plain_if_possible,
 )
 
 
@@ -43,29 +44,29 @@ class ArchMember(Record):
 
 
 class Architecture:
-    """Ordered members with distinct entities; duplicate listings for the
-    same entity are merged additively at construction.  ``members`` holds
-    ``(entity, interface)`` or ``(entity, interface, contained)`` tuples.
-    A member's interface is a ConditionalInterface only while it has a
-    branch."""
+    """Ordered members with distinct entities, from ``(entity, interface)``
+    or ``(entity, interface, contained)`` tuples.  A member's interface is a
+    ConditionalInterface only while it has a branch."""
 
     def __init__(self, name: str, members=()):
         self.name = name
-        merged: dict[str, ArchMember] = {}
-        order: list[str] = []
+        merged: dict[str, list] = {}  # entity -> [value or ConditionalSum, contained]
         for item in members:
             entity, value = item[0], plain_if_possible(item[1])
             contained = item[2] if len(item) > 2 else False
             if value.scope == GLOBAL:
                 raise ScopeError(f"member {entity} must hold a local interface")
-            if entity in merged:
-                prev = merged[entity]
-                value = plain_if_possible(conditional_sum((prev.interface, value)))
-                merged[entity] = ArchMember(entity, value, prev.contained or contained)
-            else:
-                merged[entity] = ArchMember(entity, value, contained)
-                order.append(entity)
-        self.members: tuple[ArchMember, ...] = tuple(merged[e] for e in order)
+            slot = merged.get(entity)
+            if slot is None:
+                merged[entity] = [value, contained]
+                continue
+            if not isinstance(slot[0], ConditionalSum):
+                slot[0] = ConditionalSum((slot[0],))
+            slot[0].add(value)
+            slot[1] = slot[1] or contained
+        self.members: tuple[ArchMember, ...] = tuple(
+            ArchMember(entity, value.total() if isinstance(value, ConditionalSum) else value,
+                       contained) for entity, (value, contained) in merged.items())
 
     @property
     def has_conditionals(self) -> bool:

@@ -10,10 +10,10 @@ cannot be written (a full disk, a pipe whose reader has gone) is an internal
 error too: ``main`` flushes stdout before it exits, so the failure is exit 4
 whether or not output is buffered.  A closed stdout is exit 4 in every
 format, with ``internal error: OSError: stdout is closed``, once a command
-has a result to write.  Results go to stdout, diagnostics and usage errors to
-stderr, one line each with unprintable characters escaped; with stderr closed
-they are dropped, never sent to stdout.  Set NO_COLOR to disable ANSI
-coloring of diagnostics.
+(or help) has a result to write.  Results go to stdout, diagnostics and
+usage errors to stderr, one line each with unprintable characters escaped;
+with stderr closed they are dropped, never sent to stdout.  Set NO_COLOR to
+disable ANSI coloring of diagnostics.
 
 The commands are declared once, as data, in ``COMMANDS``; add a command
 there and write its ``_cmd_NAME`` handler.  ``run`` reads the common forms
@@ -422,14 +422,19 @@ def build_parser():
     import argparse
 
     class Parser(argparse.ArgumentParser):
-        """Usage errors go through ``_stderr``, so argv text in them is
-        escaped; subcommand parsers inherit the class."""
+        """Usage errors go through ``_stderr``, escaping argv text; help is a
+        result, so it needs an open stdout.  Subcommand parsers inherit this."""
 
         def error(self, message):
             for line in self.format_usage().splitlines():
                 _stderr(line)
             _stderr(f"{self.prog}: error: {message}")
             self.exit(2)
+
+        def print_help(self, file=None):
+            if file is None and sys.stdout is None:
+                raise OSError("stdout is closed")
+            super().print_help(file)
 
     parser = Parser(
         prog="fti",

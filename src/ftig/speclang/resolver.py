@@ -8,16 +8,14 @@ evaluation continues with the offending names treated as extern.
 
 from __future__ import annotations
 
-import itertools
-
-from ..algebra import ALPHA_TF, GLOBAL, Generator, Interface, RunningSum
+from ..algebra import ALPHA_TF, GLOBAL, Generator, Interface
 from ..architecture import Architecture
 from ..catalog import Catalog
 from ..errors import ScopeError, SourcePosition, SpecError
 from ..record import Record
 from ..transform import (
-    ConditionalInterface, ConditionLiteral, RefinementSpec, RenameMap,
-    conditional_sum, expand_motives, map_parts, plain_if_possible, refine, rename,
+    ConditionalInterface, ConditionalSum, ConditionLiteral, RefinementSpec, RenameMap,
+    expand_motives, map_parts, refine, rename,
 )
 from .astnodes import (
     CheckDirective, CondExpr, EntityItem, GenExpr, NameItem, NegExpr, RefExpr,
@@ -185,23 +183,7 @@ class _Evaluator:
         return rename(source, mapping)
 
     def _eval_signed(self, sign: int, node) -> Interface | ConditionalInterface:
-        value = self.eval(node)
-        return _scaled(value, -1) if sign < 0 else value
-
-    def _eval_sum(self, parts) -> Interface | ConditionalInterface:
-        # plain parts go into one running sum; the first part with branches
-        # hands the total and the remaining parts, still unevaluated, to
-        # conditional_sum, which adds them with the same checks in the same order
-        running = RunningSum()
-        parts = iter(parts)
-        for sign, part in parts:
-            value = self._eval_signed(sign, part)
-            if isinstance(value, ConditionalInterface):
-                rest = (self._eval_signed(sign, part) for sign, part in parts)
-                return plain_if_possible(conditional_sum(itertools.chain(
-                    (running.total(), value), rest)))
-            running.add(value)
-        return running.total()
+        return _scaled(self.eval(node), -1) if sign < 0 else self.eval(node)
 
     def eval(self, node) -> Interface | ConditionalInterface:
         # the node types are disjoint; the most frequent are tested first
@@ -216,7 +198,7 @@ class _Evaluator:
                             node.host, node.alpha)
             return Interface.term(gen)
         if isinstance(node, SumExpr):
-            return self._eval_sum(node.parts)
+            return ConditionalSum(self._eval_signed(s, p) for s, p in node.parts).total()
         if isinstance(node, RefExpr):
             return self.resolve_name(node.name, node.pos)
         if isinstance(node, ZeroExpr):

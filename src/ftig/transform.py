@@ -7,17 +7,16 @@ out of the free interface group is fixed by its image of each generator, and
 for ``globalize`` and ``reduce_modulo_reflection``); only
 ``reflection.reduce_hosted``, the plain closedness check, composes hosting,
 expansion and reduction by hand on field tuples, for speed.  Conditional
-interfaces attach branches guarded by boolean condition literals.  The
-all-assignments check reports closedness under every truth assignment.
-Reduction modulo reflection is a homomorphism too, so it reduces the
-unconditional part and each branch once and sums, per assignment, the
-reduced parts that assignment selects.
+interfaces attach branches guarded by boolean condition literals, and are
+added only by ``ConditionalSum``.  The all-assignments check reports
+closedness under every truth assignment.  Reduction modulo reflection is a
+homomorphism too, so it reduces the unconditional part and each branch
+once and sums, per assignment, the reduced parts that assignment selects.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
 
 from .algebra import (
@@ -241,30 +240,45 @@ def map_parts(value: Interface | ConditionalInterface,
     return plain_if_possible(value.map_interfaces(fn))
 
 
+class ConditionalSum:
+    """A sum of plain and conditional interfaces, built in one pass: one
+    running sum for the unconditional parts and one per literal.  ``add``
+    runs the checks of ``total + part`` in order: the unconditional part,
+    the branches in literal order, then (once a branch exists) the scopes."""
+
+    __slots__ = ("_unconditional", "_branches", "_nonzero")
+
+    def __init__(self, parts: Iterable[Interface | ConditionalInterface] = ()):
+        self._unconditional = RunningSum()
+        self._branches: dict[ConditionLiteral, RunningSum] = {}
+        self._nonzero = {None: 0, LOCAL: 0, GLOBAL: 0}  # scope -> branch sums of that scope
+        for part in parts:
+            self.add(part)
+
+    def add(self, part: Interface | ConditionalInterface) -> None:
+        self._unconditional.add(part.unconditional)
+        if part.branches or self._branches:
+            nonzero = self._nonzero
+            for lit, iface in part.branches:
+                running = self._branches.setdefault(lit, RunningSum())
+                nonzero[running.scope] -= 1
+                running.add(iface)
+                nonzero[running.scope] += 1
+            scope = self._unconditional.scope
+            if (nonzero[LOCAL] or scope == LOCAL) and (nonzero[GLOBAL] or scope == GLOBAL):
+                raise ScopeError(_MIXED_BRANCHES)
+
+    def total(self) -> Interface | ConditionalInterface:
+        """The sum; a ConditionalInterface only while a branch survives."""
+        branches = [(lit, r.total()) for lit, r in self._branches.items() if r.scope is not None]
+        unconditional = self._unconditional.total()
+        return ConditionalInterface(unconditional, branches) if branches else unconditional
+
+
 def conditional_sum(parts: Iterable[Interface | ConditionalInterface]) -> ConditionalInterface:
-    """Sum of ``parts`` in one pass; equal, value and errors, to folding ``+``.
-
-    A plain ``Interface`` part counts as an unconditional part with no branches.
-
-    One running sum holds the unconditional parts and one per literal.  Each
-    part adds its unconditional interface, then its branches in literal
-    order; then the scopes of the nonzero sums are compared.
-    """
-    unconditional = RunningSum()
-    branches: dict[ConditionLiteral, RunningSum] = {}
-    nonzero = Counter()  # scope -> running sums of that scope with nonzero total
-    for part in parts:
-        for lit, iface in ((None, part.unconditional), *part.branches):
-            running = unconditional if lit is None else branches.setdefault(lit, RunningSum())
-            nonzero[running.scope] -= 1
-            running.add(iface)
-            nonzero[running.scope] += 1
-        if nonzero[LOCAL] > 0 and nonzero[GLOBAL] > 0:
-            raise ScopeError(_MIXED_BRANCHES)
-    return ConditionalInterface(
-        unconditional.total(),
-        tuple((lit, running.total()) for lit, running in branches.items()),
-    )
+    """``ConditionalSum(parts).total()`` as a ConditionalInterface, branches or not."""
+    total = ConditionalSum(parts).total()
+    return total if isinstance(total, ConditionalInterface) else ConditionalInterface(total)
 
 
 def eval_conditional(cond: ConditionalInterface, assignment: Mapping[str, bool]) -> Interface:

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ftig.algebra import (
@@ -17,7 +17,9 @@ from ftig.errors import LogFormatError, ScopeError
 from ftig.reflection import reduce_modulo_reflection
 from ftig.transform import ConditionalInterface, ConditionLiteral, RefinementSpec, refine
 
-from conftest import COEFFS, interfaces, random_monoid_interface
+import old_architecture as old
+from conftest import COEFFS, interfaces, outcome, random_monoid_interface
+from test_transform import conditional_interfaces, negated
 
 
 def arch(*members, name="A"):
@@ -244,6 +246,68 @@ class TestMemberValues:
         with pytest.raises(TypeError) as caught:
             arch(("e1", I1), ("e2", value))
         assert str(caught.value) == f"expected Interface or ConditionalInterface, got {name}"
+
+    def test_contained_in_a_later_listing_only(self):
+        a = arch(("e1", I1), ("e2", I2), ("e1", I1, True), ("e1", -I1, False))
+        assert [(m.entity, m.interface, m.contained) for m in a.members] == \
+            [("e1", I1, True), ("e2", I2, False)]
+
+
+MAX_E2 = Interface([(service("e2", "a", "m"), I64_MAX)])
+MAX_E1 = Interface([(service("e1", "a", "m"), I64_MAX)])
+E1 = Interface.term(service("e1", "a", "m"))
+E2 = Interface.term(service("e2", "a", "m"))
+
+
+@st.composite
+def repeated_listings(draw):
+    """Interleaved listings of 1-4 entities, 1-6 each, ``contained`` on some
+    of them only.  Values are plain or conditional and local, except now and
+    then a global one; some negate an earlier listing of the same entity, so
+    its total, or a branch of it, cancels part-way through."""
+    entities = ("e1", "e2", "e3", "e4")[:draw(st.integers(1, 4))]
+    order = draw(st.permutations(
+        [e for e in entities for _ in range(draw(st.integers(1, 6)))]))
+    listing = []
+    for entity in order:
+        earlier = [item[1] for item in listing if item[0] == entity]
+        kind = draw(st.integers(0, 59))
+        value = None
+        if earlier and kind < 18:
+            try:
+                value = draw(st.sampled_from(earlier))
+                value = -value if isinstance(value, Interface) else negated(value)
+            except OverflowError:  # the negation of -2**63
+                pass
+        if value is None:
+            local = kind != 59
+            value = draw(st.one_of(interfaces(local), conditional_interfaces(local)))
+            if isinstance(value, Interface) and draw(st.booleans()):
+                value = ConditionalInterface(value)  # a conditional value without branches
+        listing.append((entity, value, *draw(st.sampled_from(((), (False,), (True,))))))
+    return listing
+
+
+def members_view(members):
+    return [(m.entity, m.interface, type(m.interface), m.contained) for m in members]
+
+
+class TestRepeatedListingOracle:
+    """``Architecture``'s one-pass merge of repeated listings against the
+    pairwise merge it replaced: equal members (order, value, term order,
+    plain or conditional type, ``contained``), or the same first error."""
+
+    @given(repeated_listings())
+    # the repeated-listing cases of test_cli's TestArithmeticContract (two of
+    # its three list these same members)
+    @example([("e1", MAX_E2), ("e1", E2)])
+    @example([("e1", MAX_E2), ("e2", MAX_E1), ("e2", E1), ("e1", 2 * E2)])
+    # an entity contained only in its second listing
+    @example([("e1", I1), ("e2", I2), ("e1", I1, True)])
+    @settings(max_examples=100, deadline=None)
+    def test_merge_equals_pairwise_merge(self, listing):
+        want = outcome(lambda: members_view(old.merged_members(listing)))
+        assert outcome(lambda: members_view(Architecture("A", listing).members)) == want
 
 
 class TestEventLog:

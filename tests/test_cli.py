@@ -865,6 +865,14 @@ class TestProcessExit:
         assert child.returncode == 4
         assert child.stderr == b"internal error: OSError: stdout is closed\n"
 
+    @pytest.mark.parametrize("argv", [["--help"], ["closed", "--help"]])
+    def test_help_with_closed_stdout_is_exit_4(self, argv):
+        # help is a result, so argparse's fallback to stderr does not apply
+        child = _fti(argv, stderr=subprocess.PIPE, env=cli_env(),
+                     preexec_fn=lambda: os.close(1))
+        assert child.returncode == 4
+        assert child.stderr == b"internal error: OSError: stdout is closed\n"
+
     def test_closed_stderr_keeps_diagnostics_off_stdout(self):
         child = _fti(["closed", "Nope", fx("two_entity.fti")], stdout=subprocess.PIPE,
                      env=cli_env(), preexec_fn=lambda: os.close(2))

@@ -750,34 +750,37 @@ def resolve_fixtures(*names):
 
 
 class TestPlainPath:
-    """The resolver sends values without branches through no conditional_sum
-    and resolves them to ``Interface`` values; only a surviving branch makes a
-    ConditionalInterface."""
+    """The resolver builds no ConditionalInterface for a value without
+    branches, so every sum without one stays a plain ``Interface``; only a
+    surviving branch makes a ConditionalInterface."""
 
     def test_plain_module_skips_the_conditional_machinery(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("conditional machinery used for a plain value")
 
-        monkeypatch.setattr(resolver_module, "conditional_sum", refuse)
+        monkeypatch.setattr(transform.ConditionalInterface, "__init__", refuse)
         res = resolve_fixtures("catalog.fti", "lfti_maeiis.fti", "closed_arch.fti")
         assert res.ok, [d.render() for d in res.errors]
         assert res.interfaces and all(isinstance(v, Interface) for v in res.interfaces.values())
+        assert all(type(m.interface) is Interface
+                   for arch in res.architectures.values() for m in arch.members)
         assert not res.architectures["ClosedMaEIis"].has_conditionals
         assert evaluate_expression_text("2 x (f.a(m)@g - g.a(m)@f) + -f.a(m)@g") == \
             Interface([(service("f", "a", "m", host="g"), 1),
                        (service("g", "a", "m", host="f"), -2)])
 
-    def test_conditional_module_reaches_conditional_sum(self, monkeypatch):
-        calls = []
+    def test_conditional_module_builds_a_conditional_value(self, monkeypatch):
+        built = []
+        init = transform.ConditionalInterface.__init__
 
-        def counted(parts):
-            calls.append(parts)
-            return transform.conditional_sum(parts)
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(resolver_module, "conditional_sum", counted)
+        monkeypatch.setattr(transform.ConditionalInterface, "__init__", counted)
         res = resolve_fixtures("cond_open.fti")
         assert res.ok, [d.render() for d in res.errors]
-        assert calls
+        assert built
         assert res.architectures["CondOpen"].has_conditionals
 
 

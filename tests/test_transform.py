@@ -307,8 +307,11 @@ LITERALS = (C, NOT_C, ConditionLiteral("d"))
 
 
 @st.composite
-def conditional_interfaces(draw):
-    local = draw(st.booleans())
+def conditional_interfaces(draw, local=None):
+    """A small conditional interface, all local or all global (drawn when
+    ``local`` is None)."""
+    if local is None:
+        local = draw(st.booleans())
     branches = draw(st.dictionaries(st.sampled_from(LITERALS), interfaces(local), max_size=3))
     return ConditionalInterface(draw(interfaces(local)), branches)
 
