@@ -399,6 +399,19 @@ def interface_sum(parts: Iterable[Interface]) -> Interface:
     return running.total()
 
 
+def fits_i64(parts: Iterable[Interface]) -> bool:
+    """The magnitude bound of the one-pass paths: whether the absolute
+    coefficients of ``parts``, each counted once per atom of its motive and
+    at least once, sum to at most ``I64_MAX``.
+
+    Within it, no partial sum of adding, hosting or reducing the parts, or
+    of splitting their motives into atoms, can leave 64 bits, so a path
+    that skips the range checks gets the checked path's value.  Beyond it,
+    callers run the checked path, which raises its own first error.
+    """
+    return sum(abs(c) * (len(g.motive) or 1) for part in parts for g, c in part) <= I64_MAX
+
+
 def induced(iface: Interface,
             image: Callable[[Generator], Iterable[tuple[Generator, int]]]) -> Interface:
     """The homomorphism that sends each generator ``g`` to the sum of the

@@ -9,9 +9,13 @@ assignment, if members carry conditional branches).
 
 The plain check reduces the members in one pass
 (``reflection.reduce_hosted``); when the coefficients are large enough
-that some partial sum could overflow, it runs hosting, the sum, motive
-expansion and reduction one after another instead, so the first error is
-theirs.
+that some partial sum could overflow (``algebra.fits_i64``), it runs
+hosting, the sum, motive expansion and reduction one after another
+instead, so the first error is theirs.  Compliance is the other pass on
+field tuples: ``comply_events`` tables each member's positive elements,
+split into atoms as ``reduce_hosted`` splits them, and matches each event
+side with one lookup; a member beyond the same bound is expanded by
+``expand_motives`` first.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from __future__ import annotations
 import io
 
 from .algebra import (
-    ALPHA_F, ALPHA_NONE, ALPHA_T, ALPHA_TF, ALPHAS, CLIENT, GLOBAL, I64_MAX, SERVICE,
-    Generator, Interface, interface_sum,
+    ALPHA_F, ALPHA_NONE, ALPHA_T, ALPHA_TF, ALPHAS, CLIENT, GLOBAL, SERVICE,
+    Generator, Interface, fits_i64, interface_sum,
 )
 from .catalog import Catalog
 from .errors import LogFormatError, ScopeError, SpecError
@@ -141,19 +145,16 @@ def check_closed(arch: Architecture, catalog: Catalog | None = None) -> Architec
 
     A plain architecture is reduced in one pass by
     ``reflection.reduce_hosted``, with the value and first error of
-    ``reduce_modulo_reflection(global_sum(arch, catalog=catalog))``: when
-    the absolute coefficients, counted once per atom occurrence, sum to
-    more than ``I64_MAX``, some partial sum could overflow, so that staged
-    path runs instead and raises its first error.
+    ``reduce_modulo_reflection(global_sum(arch, catalog=catalog))``: beyond
+    the ``algebra.fits_i64`` bound some partial sum could overflow, so that
+    staged path runs instead and raises its first error.
     """
     if arch.has_conditionals:
         return ArchitectureReport(arch.name, conditional=closed_under_all_assignments(
             _conditional_global_sum(arch, catalog)))
     for member in arch.members:
         require_entity(member.entity, catalog)
-    magnitude = sum(abs(c) * len(g.motive) for member in arch.members
-                    for g, c in member.interface)
-    if magnitude > I64_MAX:
+    if not fits_i64(member.interface for member in arch.members):
         residual = reduce_modulo_reflection(global_sum(arch, catalog=catalog))
     else:
         residual = reduce_hosted((member.entity, member.interface) for member in arch.members)
@@ -255,36 +256,61 @@ class ComplianceReport(Record):
         return not self.violations
 
 
-def _match(coefficients: dict[Generator, int], polarity: str, target: str, action: str,
-           motive: str, reply: str) -> str:
-    """Returns "ok", "reply-forbidden", or "unmatched".
+class _Declared:
+    """One member's positive elements as field tuples, for compliance.
 
-    ``coefficients`` is ``dict(iface)`` of the member's interface.
+    The member's coefficients are summed per ``(polarity, target, action,
+    atom, alpha)``, each term's coefficient once per occurrence of an atom
+    in its motive, as ``expand_motives`` sums them; a key whose sum is
+    positive is a declared element, so terms that cancel hide it.
+    ``replies`` maps each declared ``(polarity, target, action, atom)`` to
+    the replies its alphas admit.
     """
-    declared = []
-    for alpha in ALPHAS:
-        gen = Generator(target, action, (motive,), polarity, None, alpha)
-        if coefficients.get(gen, 0) > 0:
-            declared.append(alpha)
-    if any(reply in _ADMITS[alpha] for alpha in declared):
-        return "ok"
-    if declared:
-        return "reply-forbidden"
-    return "unmatched"
 
+    __slots__ = ("replies", "_declared", "_buckets")
 
-def _candidates(iface: Interface, polarity: str, target: str, action: str,
-                motive: str) -> tuple[Generator, ...]:
-    """Nearest-candidate hints: positive elements agreeing on at least two
-    of target/action/motive."""
-    hits = []
-    for gen, coeff in iface:
-        if coeff <= 0 or gen.polarity != polarity:
-            continue
-        score = sum((gen.target == target, gen.action == action, gen.motive == (motive,)))
-        if score >= 2:
-            hits.append(gen)
-    return tuple(sorted(hits, key=Generator.sort_key)[:3])
+    def __init__(self, iface: Interface):
+        sums: dict[tuple, int] = {}
+        for gen, coeff in iface:
+            polarity, target, action, alpha = gen.polarity, gen.target, gen.action, gen.alpha
+            for atom in gen.motive:
+                key = (polarity, target, action, atom, alpha)
+                sums[key] = sums.get(key, 0) + coeff
+        self._declared = [key for key, c in sums.items() if c > 0]
+        replies: dict[tuple, frozenset] = {}
+        for polarity, target, action, atom, alpha in self._declared:
+            key = (polarity, target, action, atom)
+            replies[key] = replies.get(key, frozenset()) | _ADMITS[alpha]
+        self.replies = replies
+        self._buckets: dict[tuple, list] | None = None
+
+    def candidates(self, polarity: str, target: str, action: str,
+                   atom: str) -> tuple[Generator, ...]:
+        """The first three declared elements of ``polarity``, in
+        ``Generator.sort_key`` order, that agree with an unmatched event side
+        on two of target, action and atom.
+
+        Each pair of the three fields keys one bucket of elements, sorted
+        as ``(target, action, atom, alpha rank)``: the sort key within one
+        polarity and no host.  An element agreeing on all three fields would
+        have matched, so the side's three buckets are disjoint, and the
+        hints are the first three of their first threes.  The buckets are
+        built on the member's first unmatched side.
+        """
+        if self._buckets is None:
+            buckets: dict[tuple, list] = {}
+            for p, t, a, m, rank in sorted([(p, t, a, m, ALPHAS.index(alpha))
+                                            for p, t, a, m, alpha in self._declared]):
+                entry = (t, a, m, rank)
+                for key in ((p, t, a, None), (p, t, None, m), (p, None, a, m)):
+                    buckets.setdefault(key, []).append(entry)
+            self._buckets = buckets
+        get = self._buckets.get
+        hits = sorted([*get((polarity, target, action, None), ())[:3],
+                       *get((polarity, target, None, atom), ())[:3],
+                       *get((polarity, None, action, atom), ())[:3]])[:3]
+        return tuple(Generator(t, a, (m,), polarity, None, ALPHAS[rank])
+                     for t, a, m, rank in hits)
 
 
 def comply_events(events, arch: Architecture, assignment=None) -> ComplianceReport:
@@ -295,32 +321,48 @@ def comply_events(events, arch: Architecture, assignment=None) -> ComplianceRepo
     destination member must declare the matching incoming element.  A
     missing incoming declaration is a warning unless the member is
     contained, in which case it is a violation.
+
+    Each member, under ``assignment``, is tabled once by ``_Declared``, so
+    each event side is one dict lookup: no entry is ``unmatched-*`` and an
+    entry that does not admit the reply is ``reply-forbidden``.  An
+    unmatched side carries as hints the first three (in ``Generator``
+    order) of the member's positive elements of its polarity that agree
+    with it on two of target, action and motive.  A member beyond the
+    ``fits_i64`` bound is first expanded by ``expand_motives``, so that any
+    overflow is raised as that staged expansion raises it.
     """
-    members = {m.entity: expand_motives(_evaluate(m, assignment)) for m in arch.members}
-    coefficients = {entity: dict(iface) for entity, iface in members.items()}
-    contained = {m.entity: m.contained for m in arch.members}
+    declared: dict[str, _Declared] = {}
+    contained: dict[str, bool] = {}
+    for member in arch.members:
+        iface = _evaluate(member, assignment)
+        if not fits_i64((iface,)):
+            iface = expand_motives(iface)
+        declared[member.entity] = _Declared(iface)
+        contained[member.entity] = member.contained
     violations: list[Violation] = []
     warnings: list[Violation] = []
     for index, ev in enumerate(events):
-        if ev.source not in members and ev.destination not in members:
+        if ev.source not in declared and ev.destination not in declared:
             raise SpecError(
                 f"event {index}: neither {ev.source} nor {ev.destination} "
                 f"is an architecture member"
             )
+        action, motive = ev.action, ev.motive
         for side, member, polarity, peer in (("outgoing", ev.source, SERVICE, ev.destination),
                                              ("incoming", ev.destination, CLIENT, ev.source)):
-            if member not in members:
+            table = declared.get(member)
+            if table is None:
                 continue
-            verdict = _match(coefficients[member], polarity, peer, ev.action, ev.motive,
-                             ev.reply)
-            if verdict == "reply-forbidden":
-                violations.append(Violation(index, "reply-forbidden", side, member))
-            elif verdict == "unmatched":
+            if not (peer and action and motive):
+                Generator(peer, action, (motive,), polarity)  # raises the element's error
+            replies = table.replies.get((polarity, peer, action, motive))
+            if replies is None:
                 hit = Violation(index, f"unmatched-{side}", side, member,
-                                _candidates(members[member], polarity, peer, ev.action,
-                                            ev.motive))
+                                table.candidates(polarity, peer, action, motive))
                 if side == "outgoing" or contained[member]:
                     violations.append(hit)
                 else:
                     warnings.append(hit)
+            elif ev.reply not in replies:
+                violations.append(Violation(index, "reply-forbidden", side, member))
     return ComplianceReport(tuple(violations), tuple(warnings))

@@ -422,8 +422,11 @@ def build_parser():
     import argparse
 
     class Parser(argparse.ArgumentParser):
-        """Usage errors go through ``_stderr``, escaping argv text; help is a
-        result, so it needs an open stdout.  Subcommand parsers inherit this."""
+        """Usage errors go through ``_stderr``, escaping argv text.  Help is a
+        result: it needs an open stdout, and it is written and flushed here,
+        not by argparse, which drops a failed write, so that a write error
+        reaches ``main`` as a command's does.  Subcommand parsers inherit
+        this."""
 
         def error(self, message):
             for line in self.format_usage().splitlines():
@@ -432,9 +435,11 @@ def build_parser():
             self.exit(2)
 
         def print_help(self, file=None):
-            if file is None and sys.stdout is None:
+            file = sys.stdout if file is None else file
+            if file is None:
                 raise OSError("stdout is closed")
-            super().print_help(file)
+            file.write(self.format_help())
+            file.flush()
 
     parser = Parser(
         prog="fti",

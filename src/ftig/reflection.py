@@ -13,7 +13,10 @@ they pass through unchanged and are reported as non-cancellable.
 
 ``reflect_fields`` states these rules once, on an element's fields; both
 ``reflect_generator`` and ``reduce_hosted``, the one-pass reduction of an
-architecture's hosted members, apply it.
+architecture's hosted members, apply it.  ``reduce_hosted`` is one of two
+passes on field tuples: the other is the compliance table of
+``architecture.comply_events``, which splits motives into atoms the same
+way and keeps the same magnitude bound (``algebra.fits_i64``).
 """
 
 from __future__ import annotations
@@ -133,7 +136,7 @@ def reduce_hosted(members: Iterable[tuple[str, Interface]]) -> Residual:
     the field tuple in ``Generator``'s argument order, and a ``Generator``
     is built only for each nonzero residual term.  Partial sums are not
     range-checked: a caller that wants the staged path's first overflow
-    error runs that path when the summed magnitudes could exceed 64 bits.
+    error runs that path beyond the ``algebra.fits_i64`` bound.
     """
     acc: dict[tuple, int] = {}
     for entity, iface in members:

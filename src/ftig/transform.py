@@ -4,14 +4,16 @@ All of these are group homomorphisms: motive expansion, entity refinement,
 annihilation of designated elements, and catalog renaming.  A homomorphism
 out of the free interface group is fixed by its image of each generator, and
 ``algebra.induced`` is the single way one is built from that image (here, and
-for ``globalize`` and ``reduce_modulo_reflection``); only
-``reflection.reduce_hosted``, the plain closedness check, composes hosting,
-expansion and reduction by hand on field tuples, for speed.  Conditional
-interfaces attach branches guarded by boolean condition literals, and are
-added only by ``ConditionalSum``.  The all-assignments check reports
-closedness under every truth assignment.  Reduction modulo reflection is a
-homomorphism too, so it reduces the unconditional part and each branch
-once and sums, per assignment, the reduced parts that assignment selects.
+for ``globalize`` and ``reduce_modulo_reflection``).  Two passes work by
+hand on field tuples instead, for speed: ``reflection.reduce_hosted``, the
+plain closedness check, composes hosting, expansion and reduction, and
+``architecture.comply_events`` tables each member's expanded positive
+elements to match logged transfers.  Conditional interfaces attach branches
+guarded by boolean condition literals, and are added only by
+``ConditionalSum``.  The all-assignments check reports closedness under
+every truth assignment.  Reduction modulo reflection is a homomorphism too,
+so it reduces the unconditional part and each branch once and sums, per
+assignment, the reduced parts that assignment selects.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import itertools
 from collections.abc import Callable, Iterable, Mapping
 
 from .algebra import (
-    GLOBAL, I64_MAX, LOCAL, Generator, Interface, RunningSum, induced, interface_sum,
+    GLOBAL, LOCAL, Generator, Interface, RunningSum, fits_i64, induced, interface_sum,
 )
 from .errors import CapacityError, ScopeError, SpecError
 from .record import Record
@@ -320,10 +322,8 @@ def closed_under_all_assignments(cond: ConditionalInterface) -> AssignmentReport
         )
     # each case is a row of (variable, value) pairs; all rows share the 2k pairs
     rows = list(itertools.product(*(((var, False), (var, True)) for var in variables)))
-    magnitude = sum(abs(c) for part in (cond.unconditional, *(i for _, i in cond.branches))
-                    for _, c in part)
     # reducing first could hide an evaluation's overflow or local scope: evaluate those
-    if cond.scope == LOCAL or magnitude > I64_MAX:
+    if cond.scope == LOCAL or not fits_i64((cond.unconditional, *(i for _, i in cond.branches))):
         residuals = [reduce_modulo_reflection(eval_conditional(cond, dict(row))) for row in rows]
     else:
         base = reduce_modulo_reflection(cond.unconditional).canonical

@@ -9,7 +9,7 @@ from ftig.algebra import (
     Generator, Interface, client, service,
 )
 from ftig.architecture import (
-    Architecture, TransferEvent, _match, check_closed, comply_events, diff,
+    Architecture, TransferEvent, _Declared, check_closed, comply_events, diff,
     global_sum, read_event_log,
 )
 from ftig.catalog import Catalog
@@ -18,8 +18,9 @@ from ftig.reflection import reduce_modulo_reflection
 from ftig.transform import ConditionalInterface, ConditionLiteral, RefinementSpec, refine
 
 import old_architecture as old
+import old_compliance
 from conftest import COEFFS, interfaces, outcome, random_monoid_interface
-from test_transform import conditional_interfaces, negated
+from test_transform import LITERALS, conditional_interfaces, negated
 
 
 def arch(*members, name="A"):
@@ -487,8 +488,9 @@ def test_compliance_matches_brute_force_oracle(rng):
 
 
 def coefficient_match(iface, polarity, target, action, motive, reply):
-    """Oracle: ``_match`` as it stood before compliance looked coefficients
-    up in a dict, with ``Interface.coefficient`` per reply constraint."""
+    """Oracle: the match of one event side as it stood before compliance
+    looked coefficients up in a dict, with ``Interface.coefficient`` per
+    reply constraint."""
     admits = {ALPHA_TF: "TF", ALPHA_T: "T", ALPHA_F: "F", ALPHA_NONE: "TF"}
     declared = [alpha for alpha in (ALPHA_TF, ALPHA_T, ALPHA_F, ALPHA_NONE)
                 if iface.coefficient(Generator(target, action, (motive,), polarity,
@@ -506,5 +508,128 @@ def test_match_by_dict_lookup_equals_coefficient_scan(iface, polarity, target, m
     coefficients = dict(iface)
     for gen, _ in iface:
         assert coefficients.get(gen, 0) == iface.coefficient(gen)
-    assert (_match(coefficients, polarity, target, "a", motive, reply)
-            == coefficient_match(iface, polarity, target, "a", motive, reply))
+    replies = _Declared(iface).replies.get((polarity, target, "a", motive))
+    verdict = "unmatched" if replies is None else "ok" if reply in replies else "reply-forbidden"
+    assert verdict == coefficient_match(iface, polarity, target, "a", motive, reply)
+
+
+COMPLY_ENTITIES = ("e1", "e2", "e3")
+
+# mostly small and positive, so that most logs get a report; now and then
+# near the 64-bit limits
+COMPLY_COEFFS = st.integers(0, 15).flatmap(
+    lambda k: COEFFS if k == 0 else st.integers(-3, 3) if k < 6 else st.integers(1, 3))
+
+# local elements towards members and strangers, with zero, single, composite
+# and repeated-atom motives and every reply constraint
+COMPLY_ELEMENTS = st.builds(
+    Generator,
+    target=st.sampled_from((*COMPLY_ENTITIES, "outside")),
+    action=st.sampled_from(("a", "b")),
+    motive=st.lists(st.sampled_from(("m1", "m2")), max_size=3).map(tuple),
+    polarity=st.sampled_from((SERVICE, CLIENT)),
+    host=st.just(None),
+    alpha=st.sampled_from(ALPHAS),
+)
+
+
+@st.composite
+def compliance_values(draw):
+    """A local member value: terms with coefficients near the 64-bit limits;
+    on a drawn flag, each composite-motive term has its first atom cancelled
+    by a one-atom term; on another, branches under the literals of ``c``
+    and ``d``."""
+    terms = draw(st.dictionaries(COMPLY_ELEMENTS, COMPLY_COEFFS, max_size=8))
+    if draw(st.booleans()):
+        for g, c in list(terms.items()):
+            if len(g.motive) > 1:
+                single = g.replace(motive=g.motive[:1])
+                terms[single] = terms.get(single, 0) - c
+    value = Interface({g: c for g, c in terms.items() if I64_MIN <= c <= I64_MAX})
+    if draw(st.integers(0, 2)):
+        return value
+    return ConditionalInterface(value, draw(st.dictionaries(
+        st.sampled_from(LITERALS), interfaces(local=True), max_size=2)))
+
+
+@st.composite
+def compliance_cases(draw):
+    """An architecture, an assignment (perhaps missing or partial) and a log.
+    Its rows are taken from the members' elements (so they match, or are
+    forbidden by their reply), taken so with the peer, action or motive
+    changed, drawn at random with one end a member, between two strangers,
+    or with an empty field."""
+    members = [(entity, draw(compliance_values()), draw(st.booleans()))
+               for entity in draw(st.lists(st.sampled_from(COMPLY_ENTITIES), unique=True,
+                                           min_size=1, max_size=3))]
+    declared = [(entity, g) for entity, value, _ in members
+                for g, _ in value.unconditional if g.motive]
+    names = st.sampled_from((*COMPLY_ENTITIES, "outside"))
+    events = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 19))
+        reply = draw(st.sampled_from(("T", "F")))
+        if kind < 13 and declared:
+            entity, g = draw(st.sampled_from(declared))
+            ends = (entity, g.target) if g.polarity == SERVICE else (g.target, entity)
+            row = (*ends, g.action, draw(st.sampled_from(g.motive)))
+            if kind >= 8:  # one field changed: unmatched, with candidates on that member
+                i = draw(st.sampled_from((1 if g.polarity == SERVICE else 0, 2, 3)))
+                row = tuple(draw(st.sampled_from(("e1", "outside", "b", "c", "m2", "m3")))
+                            if j == i else f for j, f in enumerate(row))
+        elif kind == 18:
+            row = ("x", "y", "a", "m1")
+        else:
+            ends = (draw(st.sampled_from([entity for entity, _, _ in members])), draw(names))
+            row = (*(ends if draw(st.booleans()) else ends[::-1]),
+                   draw(st.sampled_from(("a", "b"))), draw(st.sampled_from(("m1", "m2", "m3"))))
+            if kind == 19:
+                blank = draw(st.integers(0, 3))
+                row = tuple("" if i == blank else f for i, f in enumerate(row))
+        events.append(TransferEvent(*row, reply))
+    assignment = draw(st.sampled_from((None, {"c": True}, {"c": False, "d": True},
+                                       {"c": True, "d": False}, {"c": False, "d": False})))
+    return members, assignment, events
+
+
+MAX = I64_MAX
+
+
+class TestComplianceOracle:
+    """The table lookup of ``comply_events`` against the expand-and-scan
+    compliance it replaced: equal reports, candidate hints included, or the
+    same exception type and text."""
+
+    @given(compliance_cases())
+    # a doubled atom whose expansion overflows, as in TestArithmeticContract
+    @example(([("e1", Interface([(service("e2", "a", ("m1", "m1")), MAX)]), False),
+               ("e2", Interface([(client("e1", "a", ("m1", "m1")), MAX)]), False)],
+              None, [TransferEvent("e1", "e2", "a", "m1", "T")]))
+    # beyond the bound without overflow: the expanded member is tabled
+    @example(([("e1", Interface([(service("e2", "a", ("m1", "m2")), MAX)]), True)],
+              None, [TransferEvent("e1", "e2", "a", "m1", "T"),
+                     TransferEvent("e1", "e2", "b", "m1", "T")]))
+    # more than three candidates, spread over the three buckets
+    @example(([("e1", Interface([(service(t, a, m, alpha=alpha), 1)
+                                 for t in ("e2", "e3") for a in ("a", "b")
+                                 for m in ("m1", "m2") for alpha in (ALPHA_T, ALPHA_F)]),
+                False)],
+              None, [TransferEvent("e1", "e2", "a", "m3", "T"),
+                     TransferEvent("e1", "e2", "c", "m1", "F"),
+                     TransferEvent("e1", "x", "a", "m1", "F")]))
+    # a bucket of four whose term order is not its sorted order: e2.a(m2)/T
+    # sorts before the m2 atom of e2.a(m1 + m2)/F
+    @example(([("e1", Interface([(service("e2", "a", "m1", alpha=ALPHA_T), 1),
+                                 (service("e2", "a", ("m1", "m2"), alpha=ALPHA_F), 1),
+                                 (service("e2", "a", "m2", alpha=ALPHA_T), 1)]), False)],
+              None, [TransferEvent("e1", "e2", "a", "m3", "T")]))
+    # hints from two buckets, where the (action, atom) one sorts first
+    @example(([("e1", Interface.term(service("e3", "a", "m2"))
+                + Interface.term(service("e2", "a", "m1")), False)],
+              None, [TransferEvent("e1", "e3", "a", "m1", "T")]))
+    @settings(max_examples=300, deadline=None)
+    def test_lookup_equals_expand_and_scan(self, case):
+        members, assignment, events = case
+        a = Architecture("A", members)
+        want = plain_outcome(lambda: old_compliance.comply_events(events, a, assignment))
+        assert plain_outcome(lambda: comply_events(events, a, assignment)) == want

@@ -500,6 +500,18 @@ class TestArithmeticContract:
         spec.write_text(HEADER + f"architecture A {{ {members} }}\n")
         assert invoke(capsys, "closed", "A", str(spec)) == (code, out, err)
 
+    # comply tables a member in one pass only within the same bound; beyond
+    # it the member's motives are expanded first, and that expansion's first
+    # error is the one reported
+    def test_comply_overflow(self, capsys, tmp_path):
+        spec = tmp_path / "big.fti"
+        spec.write_text(HEADER + f"architecture A {{ e1 : {MAX} x e2.a(m + m), "
+                        f"e2 : {MAX} x ~e1.a(m + m) }}\n")
+        log = tmp_path / "log.csv"
+        log.write_text("e1,e2,a,m,T\n")
+        assert invoke(capsys, "comply", "--log", str(log), "A", str(spec)) == (
+            3, "", "error: coefficient 18446744073709551614 exceeds 64-bit signed range\n")
+
     @pytest.mark.parametrize("body, first, second", [
         ("e2.a(m) + e2.a(m)@e1", "local", "global"),
         ("e2.a(m)@e1 - e2.a(m)", "global", "local"),
@@ -872,6 +884,14 @@ class TestProcessExit:
                      preexec_fn=lambda: os.close(1))
         assert child.returncode == 4
         assert child.stderr == b"internal error: OSError: stdout is closed\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [["--help"], ["closed", "--help"]])
+    def test_help_to_unwritable_stdout_is_exit_4(self, argv):
+        with open("/dev/full", "w") as full:
+            child = _fti(argv, stdout=full, stderr=subprocess.PIPE, env=cli_env())
+        assert child.returncode == 4
+        assert child.stderr == b"internal error: OSError: [Errno 28] No space left on device\n"
 
     def test_closed_stderr_keeps_diagnostics_off_stdout(self):
         child = _fti(["closed", "Nope", fx("two_entity.fti")], stdout=subprocess.PIPE,

@@ -37,10 +37,27 @@ def conditional_terms(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-# shape -> (spec text for size n, the command before the file)
+def all_unmatched(n: int) -> str:
+    """``architecture A { e : E, f : F }`` with ``E = f.a0(m) + ... + f.a<n-1>(m)``
+    and ``F = ~e.a0(m) + ...``; ``all_unmatched_log`` sends every action
+    with motive ``z``, so each row is unmatched on both sides."""
+    lines = ["entity e", "entity f", "motive m", "motive z", *(f"action a{i}" for i in range(n))]
+    lines.append(f"interface E @local {{ {' + '.join(f'f.a{i}(m)' for i in range(n))} }}")
+    lines.append(f"interface F @local {{ {' + '.join(f'~e.a{i}(m)' for i in range(n))} }}")
+    lines.append("architecture A { e : E, f : F }")
+    return "\n".join(lines) + "\n"
+
+
+def all_unmatched_log(n: int) -> str:
+    return "".join(f"e,f,a{i},z,T\n" for i in range(n))
+
+
+# shape -> (spec text for size n, event log text for size n or None, the
+# command before the file, its exit code)
 SHAPES = {
-    "repeated_listings": (repeated_listings, ("closed", "A")),
-    "conditional_terms": (conditional_terms, ("check",)),
+    "repeated_listings": (repeated_listings, None, ("closed", "A"), 0),
+    "conditional_terms": (conditional_terms, None, ("check",), 0),
+    "all_unmatched": (all_unmatched, all_unmatched_log, ("comply", "A"), 1),
 }
 
 
@@ -64,15 +81,19 @@ def counted_run(argv) -> tuple[int, int]:
 class TestCallScaling:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_calls_per_doubling(self, shape, tmp_path, capsys):
-        write, command = SHAPES[shape]
+        write, write_log, command, want = SHAPES[shape]
         counts = []
         for n in SIZES:
             spec = tmp_path / f"{shape}{n}.fti"
             spec.write_text(write(n), encoding="utf-8")
             argv = [*command, str(spec)]
-            assert cli.run(argv) == 0, capsys.readouterr()
+            if write_log is not None:
+                log = tmp_path / f"{shape}{n}.csv"
+                log.write_text(write_log(n), encoding="utf-8")
+                argv += ["--log", str(log)]
+            assert cli.run(argv) == want, capsys.readouterr()
             code, calls = counted_run(argv)
-            assert code == 0
+            assert code == want
             counts.append(calls)
         ratios = [round(b / a, 2) for a, b in zip(counts, counts[1:])]
         assert all(ratio < BOUND for ratio in ratios), (counts, ratios)
