@@ -373,8 +373,7 @@ class RunningSum:
             if not self._acc:
                 self._scope = part.scope
             elif self._scope != part.scope:
-                raise ScopeError(
-                    f"cannot combine a {self._scope} interface with a {part.scope} one")
+                raise self._mixed(part.scope)
         # the terms of an Interface are Generators with nonzero 64-bit
         # coefficients, so only the partial sums need _accumulate's checks
         acc = self._acc
@@ -384,6 +383,24 @@ class RunningSum:
                 acc[gen] = _check_i64(total)
             else:
                 del acc[gen]
+
+    def add_term(self, gen: Generator, coeff: int) -> None:
+        """``add(Interface.term(gen, coeff))`` for a nonzero 64-bit ``coeff``,
+        without building the one-term interface."""
+        scope = LOCAL if gen.host is None else GLOBAL
+        acc = self._acc
+        if not acc:
+            self._scope = scope
+        elif self._scope != scope:
+            raise self._mixed(scope)
+        total = acc.get(gen, 0) + coeff
+        if total:
+            acc[gen] = _check_i64(total)
+        else:
+            del acc[gen]
+
+    def _mixed(self, scope: str) -> ScopeError:
+        return ScopeError(f"cannot combine a {self._scope} interface with a {scope} one")
 
     def total(self) -> Interface:
         if not self._acc:

@@ -523,9 +523,6 @@ def run(argv=None) -> int:
     except SpecError as exc:
         _stderr(f"error: {exc}")
         return 2
-    except RecursionError:
-        _stderr("error: expression nesting too deep")
-        return 2
     except (CapacityError, OverflowError) as exc:
         _stderr(f"error: {exc}")
         return 3

@@ -21,6 +21,12 @@ class CapacityError(RuntimeError):
 
 
 class SourcePosition:
+    """A place in a source file: 1-based line and column, and the file name
+    (``None`` for text not read from a file).  The lexer hands out a
+    subclass that finds its line and column only when one of them, equality,
+    the hash or the text is read; it equals the ``SourcePosition`` built
+    from the same three values."""
+
     __slots__ = ("file", "line", "col")
 
     def __init__(self, line, col, file=None):

@@ -8,12 +8,18 @@ multiplicity.  A comment is dropped.  It may stand between declarations
 and after any part of a sum, even when a ``+``/``-`` sign intervenes (as
 in hand-written listings), but not directly after a bare, negated or
 scaled ``0``; after ``(0)`` or a conditional's ``|> 0`` it may.
+
+Nothing that nests recurses: an expression's open groups and an entity's
+open children are kept on explicit stacks.  Within one expression, the
+parentheses, prefix ``-`` signs, ``n x`` multiplicities and conditionals
+open around a point may number at most ``MAX_NESTING``; one more is a
+``SpecError``.
 """
 
 from __future__ import annotations
 
 from ..algebra import ALPHAS
-from ..errors import ParseError
+from ..errors import ParseError, SpecError
 from .astnodes import (
     ArchMemberDef, ArchitectureDef, CheckDirective, CondExpr, EntityItem, ExprNode,
     GenExpr, InterfaceDef, NameItem, NegExpr, RefExpr, RefineDef, RenameDef,
@@ -24,6 +30,18 @@ from .lexer import Tokens, tokenize
 # what a bare declaration's keyword expects next
 _NAME_WHAT = {"action": "action name", "motive": "motive name",
               "condition": "condition variable name"}
+
+# the most constructs open around one point of an expression: above the
+# deepest input a parser recursing on the Python stack took (980 prefix minus
+# signs), so no expression that parsed before is too deep now
+MAX_NESTING = 1000
+
+
+def _deeper(depth: int) -> int:
+    """``depth`` plus the construct being opened, within ``MAX_NESTING``."""
+    if depth == MAX_NESTING:
+        raise SpecError("expression nesting too deep")
+    return depth + 1
 
 
 class Parser:
@@ -50,9 +68,13 @@ class Parser:
     def expect(self, kind: str, what: str | None = None) -> int:
         i = self.i
         if self.kinds[i] != kind:
-            raise self.error(f"expected {what or kind}, found {self.found(i)!r}", i)
+            raise self.unexpected(i, what or kind)
         self.i = i + 1  # no caller expects EOF
         return i
+
+    def unexpected(self, i: int, what: str) -> ParseError:
+        """The error of finding token ``i`` where ``what`` was expected."""
+        return self.error(f"expected {what}, found {self.found(i)!r}", i)
 
     def found(self, i: int) -> str:
         return self.texts[i] or "end of input"
@@ -93,17 +115,30 @@ class Parser:
         raise self.error(f"expected a declaration, found {self.found(i)!r}", i)
 
     def parse_entity(self, extern: bool) -> EntityItem:
-        start = self.expect("entity")
-        name = self.texts[self.expect("IDENT", "entity name")]
-        children: list[EntityItem] = []
-        if self.peek() == "LBRACE":
-            if extern:
-                raise self.error("extern entities cannot declare children", self.i)
-            self.next()
-            while self.peek() != "RBRACE":
-                children.append(self.parse_entity(extern=False))
-            self.expect("RBRACE")
-        return EntityItem(self.pos(start), name, tuple(children), extern)
+        """``entity NAME``, with ``{ ... }`` around its children; only the
+        outermost entity can be ``extern``."""
+        texts = self.texts
+        open_: list[tuple[int, str, list[EntityItem]]] = []  # (start, name, children)
+        while True:
+            start = self.expect("entity")
+            name = texts[self.expect("IDENT", "entity name")]
+            if self.peek() == "LBRACE":
+                if extern and not open_:
+                    raise self.error("extern entities cannot declare children", self.i)
+                self.next()
+                open_.append((start, name, []))
+            else:
+                item = EntityItem(self.pos(start), name, (), extern and not open_)
+                if not open_:
+                    return item
+                open_[-1][2].append(item)
+            while open_ and self.peek() == "RBRACE":
+                self.next()
+                start, name, children = open_.pop()
+                item = EntityItem(self.pos(start), name, tuple(children), extern and not open_)
+                if not open_:
+                    return item
+                open_[-1][2].append(item)
 
     def parse_name_item(self, start: int, extern: bool = False) -> NameItem:
         """``action|motive|condition NAME``, placed at token ``start``."""
@@ -227,67 +262,96 @@ class Parser:
     # ------------------------------------------------------- expressions
 
     def parse_expr(self) -> ExprNode:
+        """A sum of factors.  A factor is prefix ``-`` signs, then ``n x`` or a
+        bare ``0``, then an atom, maybe followed by ``<| v |>`` and a second
+        atom.  An atom that is a group opens a new sum; the enclosing sum and
+        factor wait on ``groups`` until its ``)``."""
         kinds = self.kinds
-        start = self.i
-        parts: list[tuple[int, ExprNode]] = [(1, self.parse_factor())]
-        end = self.i - 1
-        self._skip_comments(end)
-        while kinds[self.i] in ("PLUS", "MINUS"):
-            sign = 1 if kinds[self.next()] == "PLUS" else -1
-            self._skip_comments(end)
-            parts.append((sign, self.parse_factor()))
-            end = self.i - 1
-            self._skip_comments(end)
-        if len(parts) == 1 and parts[0][0] == 1:
-            return parts[0][1]
-        return SumExpr(self.pos(start), tuple(parts))
+        texts = self.texts
+        pos = self.pos
+        # per open group: its enclosing sum (start, parts, sign, level) and
+        # factor (minus signs, atom, n x, pending conditional, depth)
+        groups = []
+        start, parts, sign, level = self.i, [], 1, 0
+        while True:
+            depth = level
+            minus = i = self.i  # the minus signs are tokens minus to atom - 1
+            while kinds[i] == "MINUS":
+                depth = _deeper(depth)
+                i += 1
+            atom = i
+            scale = None
+            if kinds[i] == "INT":
+                if kinds[i + 1] == "IDENT" and texts[i + 1] == "x":
+                    depth = _deeper(depth)
+                    scale = (i, int(texts[i]))
+                    self.i = i + 2
+                    node = self.parse_atom()
+                elif texts[i] == "0":
+                    self.i = i + 1
+                    node = ZeroExpr(pos(i))
+                else:
+                    raise self.error("an integer must be followed by the multiplicity keyword x "
+                                     "(or be the empty interface 0)", i)
+            else:
+                self.i = i
+                node = self.parse_atom()
+            cond = None
+            while True:
+                if node is None:  # a group opened: parse its sum first
+                    groups.append((start, parts, sign, level, minus, atom, scale, cond, depth))
+                    level = _deeper(depth)
+                    start, parts, sign = self.i, [], 1
+                    break
+                if cond is not None:
+                    cond_start, then, variable, negated = cond
+                    node = CondExpr(pos(cond_start), then, variable, negated, node)
+                elif kinds[self.i] == "CONDL":
+                    cond_start = self.next()
+                    negated = kinds[self.i] == "BANG"
+                    if negated:
+                        self.next()
+                    variable = texts[self.expect("IDENT", "condition variable")]
+                    self.expect("CONDR", "|>")
+                    depth = _deeper(depth)
+                    cond = (cond_start, node, variable, negated)
+                    node = self.parse_atom()
+                    continue
+                if scale is not None:
+                    node = ScaleExpr(pos(scale[0]), scale[1], node)
+                if minus < atom:
+                    for j in range(atom - 1, minus - 1, -1):
+                        node = NegExpr(pos(j), node)
+                parts.append((sign, node))
+                end = self.i - 1
+                if kinds[self.i] == "COMMENT":
+                    self._skip_comments(end)
+                if kinds[self.i] in ("PLUS", "MINUS"):
+                    sign = 1 if kinds[self.next()] == "PLUS" else -1
+                    if kinds[self.i] == "COMMENT":
+                        self._skip_comments(end)
+                    break
+                if len(parts) == 1 and parts[0][0] == 1:
+                    node = parts[0][1]
+                else:
+                    node = SumExpr(pos(start), tuple(parts))
+                if not groups:
+                    return node
+                self.expect("RPAREN")
+                start, parts, sign, level, minus, atom, scale, cond, depth = groups.pop()
 
     def _skip_comments(self, end: int):
-        """Skips the comments after the factor whose last token is ``end``.
-        Only a bare, negated or scaled ``0`` ends in an ``INT`` that no
-        ``|>`` precedes, and no comment may follow it."""
+        """Skips the comments, the next token first, after the factor whose
+        last token is ``end``.  Only a bare, negated or scaled ``0`` ends in
+        an ``INT`` that no ``|>`` precedes, and no comment may follow it."""
         kinds = self.kinds
-        if kinds[self.i] != "COMMENT":
-            return
         if kinds[end] == "INT" and kinds[end - 1] != "CONDR":
             raise self.error("comment does not follow an interface element", end)
         while kinds[self.i] == "COMMENT":
             self.i += 1
 
-    def parse_factor(self) -> ExprNode:
-        i = self.i
-        kind = self.kinds[i]
-        if kind == "MINUS":
-            self.i = i + 1
-            return NegExpr(self.pos(i), self.parse_factor())
-        if kind == "INT":
-            text = self.texts[i]
-            if self.kinds[i + 1] == "IDENT" and self.texts[i + 1] == "x":
-                self.i = i + 2
-                return ScaleExpr(self.pos(i), int(text), self.parse_primary())
-            if text == "0":
-                self.i = i + 1
-                return self._maybe_conditional(ZeroExpr(self.pos(i)))
-            raise self.error("an integer must be followed by the multiplicity keyword x "
-                             "(or be the empty interface 0)", i)
-        return self.parse_primary()
-
-    def parse_primary(self) -> ExprNode:
-        return self._maybe_conditional(self.parse_atom())
-
-    def _maybe_conditional(self, node: ExprNode) -> ExprNode:
-        if self.peek() != "CONDL":
-            return node
-        start = self.next()
-        negated = self.peek() == "BANG"
-        if negated:
-            self.next()
-        variable = self.texts[self.expect("IDENT", "condition variable")]
-        self.expect("CONDR", "|>")
-        otherwise = self.parse_atom()
-        return CondExpr(self.pos(start), node, variable, negated, otherwise)
-
-    def parse_atom(self) -> ExprNode:
+    def parse_atom(self) -> ExprNode | None:
+        """The atom at the next token, or ``None`` after the ``(`` of a group."""
         i = self.i
         kind = self.kinds[i]
         if kind == "IDENT":
@@ -300,9 +364,7 @@ class Parser:
             return ZeroExpr(self.pos(i))
         if kind == "LPAREN":
             self.i = i + 1
-            inner = self.parse_expr()
-            self.expect("RPAREN")
-            return inner
+            return None
         if kind == "TILDE":
             self.i = i + 1
             name = self.expect("IDENT", "entity name after ~")
@@ -310,33 +372,52 @@ class Parser:
         raise self.error(f"expected an interface element, found {self.found(i)!r}", i)
 
     def parse_generator(self, polarity: str, target: int) -> GenExpr:
-        """The rest of a generator whose target entity is token ``target``."""
+        """The rest of a generator whose target entity is token ``target``.
+        Each token is tested where it is read; none is read past a mismatch,
+        so none is read past EOF."""
         kinds = self.kinds
         texts = self.texts
-        self.expect("DOT")
-        action = texts[self.expect("IDENT", "action name")]
-        self.expect("LPAREN", "'(' introducing the motive")
+        i = self.i
+        if kinds[i] != "DOT":
+            raise self.unexpected(i, "DOT")
+        if kinds[i + 1] != "IDENT":
+            raise self.unexpected(i + 1, "action name")
+        action = texts[i + 1]
+        if kinds[i + 2] != "LPAREN":
+            raise self.unexpected(i + 2, "'(' introducing the motive")
+        i += 3
         motive: tuple[str, ...] = ()
-        if kinds[self.i] == "INT" and texts[self.i] == "0":
-            self.i += 1
+        if kinds[i] == "INT" and texts[i] == "0":
+            i += 1
         else:
-            atoms = [texts[self.expect("IDENT", "motive atom")]]
-            while kinds[self.i] == "PLUS":
-                self.i += 1
-                atoms.append(texts[self.expect("IDENT", "motive atom")])
+            if kinds[i] != "IDENT":
+                raise self.unexpected(i, "motive atom")
+            atoms = [texts[i]]
+            i += 1
+            while kinds[i] == "PLUS":
+                if kinds[i + 1] != "IDENT":
+                    raise self.unexpected(i + 1, "motive atom")
+                atoms.append(texts[i + 1])
+                i += 2
             motive = tuple(atoms)
-        self.expect("RPAREN", "')' closing the motive")
+        if kinds[i] != "RPAREN":
+            raise self.unexpected(i, "')' closing the motive")
+        i += 1
         host = None
-        if kinds[self.i] == "AT":
-            self.i += 1
-            host = texts[self.expect("IDENT", "host entity name")]
+        if kinds[i] == "AT":
+            if kinds[i + 1] != "IDENT":
+                raise self.unexpected(i + 1, "host entity name")
+            host = texts[i + 1]
+            i += 2
         alpha = "TF"
-        if kinds[self.i] == "SLASH":
-            self.i += 1
-            word = self.expect("IDENT", "reply constraint (TF, T, F or lambda)")
-            alpha = texts[word]
+        if kinds[i] == "SLASH":
+            if kinds[i + 1] != "IDENT":
+                raise self.unexpected(i + 1, "reply constraint (TF, T, F or lambda)")
+            alpha = texts[i + 1]
             if alpha not in ALPHAS:
-                raise self.error(f"unknown reply constraint /{alpha}", word)
+                raise self.error(f"unknown reply constraint /{alpha}", i + 1)
+            i += 2
+        self.i = i
         return GenExpr(self.pos(target), polarity, texts[target], action, motive, host, alpha)
 
 

@@ -1,14 +1,24 @@
 """Name resolution and evaluation of parsed specification modules.
 
 Definitions are evaluated by name with memoization, so the resulting
-environment does not depend on declaration order.  Name errors are
+environment does not depend on declaration order.  They come off an
+explicit stack, not the Python call stack, so that holds at any depth of
+reference: evaluating an expression is a generator that yields the
+reference or sub-expression it needs next, and one loop (``_run``) holds
+every pending evaluation.  Nodes are visited in the order a recursive
+evaluation would visit them, which decides where an undeclared name is
+first reported and through which name a cycle is reported.
+
+A sum's elements are added straight into its running sum as
+``(generator, coefficient)``: a plain sum stays a ``RunningSum`` until a
+part with branches makes it a ``ConditionalSum``.  Name errors are
 collected exhaustively rather than aborting at the first failure;
 evaluation continues with the offending names treated as extern.
 """
 
 from __future__ import annotations
 
-from ..algebra import ALPHA_TF, GLOBAL, Generator, Interface
+from ..algebra import ALPHA_TF, GLOBAL, I64_MAX, Generator, Interface, RunningSum
 from ..architecture import Architecture
 from ..catalog import Catalog
 from ..errors import ScopeError, SourcePosition, SpecError
@@ -18,7 +28,7 @@ from ..transform import (
     expand_motives, map_parts, refine, rename,
 )
 from .astnodes import (
-    CheckDirective, CondExpr, EntityItem, GenExpr, NameItem, NegExpr, RefExpr,
+    CheckDirective, CondExpr, EntityItem, GenExpr, InterfaceDef, NameItem, NegExpr, RefExpr,
     RefineDef, RenameDef, ScaleExpr, SpecModule, SumExpr, ZeroExpr,
 )
 from .parser import parse_expression
@@ -97,6 +107,7 @@ class _Evaluator:
         self.values: dict[str, Interface | ConditionalInterface] = {}
         self.in_progress: set[str] = set()
         self.reported_undeclared: set[tuple[str, str]] = set()
+        self.declared = (self.tables["entity"], self.tables["action"], self.tables["motive"])
 
     def error(self, message: str, pos):
         self.diagnostics.append(Diagnostic("error", message, pos))
@@ -118,47 +129,112 @@ class _Evaluator:
             self.reported_undeclared.add((kind, name))
             self.error(f"undeclared {kind}: {name}", pos)
 
+    def _generator(self, node: GenExpr) -> Generator:
+        """The generator of an element, its names checked: by one membership
+        test each while all are declared, else by ``_check_name`` in order."""
+        target = node.target
+        action = node.action
+        motive = node.motive
+        host = node.host
+        entities, actions, motives = self.declared
+        if target in entities and action in actions and (host is None or host in entities) \
+                and all(map(motives.__contains__, motive)):
+            looked_up = self.looked_up
+            looked_up["entity"].add(target)
+            if host is not None:
+                looked_up["entity"].add(host)
+            looked_up["action"].add(action)
+            looked_up["motive"].update(motive)
+        else:
+            self._check_name("entity", target, node.pos)
+            if host is not None:
+                self._check_name("entity", host, node.pos)
+            self._check_name("action", action, node.pos)
+            for atom in motive:
+                self._check_name("motive", atom, node.pos)
+        return Generator(target, action, motive, node.polarity, host, node.alpha)
+
     # ------------------------------------------------------- evaluation
 
     def resolve_name(self, name: str, pos) -> Interface | ConditionalInterface:
-        if name in self.values:
-            return self.values[name]
-        if name not in self.defs:
-            self.error(f"reference to undefined interface: {name}", pos)
-            return Interface.zero()
-        if name in self.in_progress:
-            self.error(f"cyclic interface reference through {name}", pos)
-            return Interface.zero()
-        self.in_progress.add(name)
-        item = self.defs[name]
-        try:
-            if isinstance(item, RefineDef):
-                value = self._eval_refine(item)
-            elif isinstance(item, RenameDef):
-                value = self._eval_rename(item)
-            else:
-                value = self.eval(item.expr)
-                scope = value.scope
-                if item.scope_annotation and scope and item.scope_annotation != scope:
-                    self.error(
-                        f"interface {name} declared @{item.scope_annotation} "
-                        f"but its elements are {scope}", item.pos)
-        except (SpecError, OverflowError) as exc:
-            self.error(f"in interface {name}: {exc}", item.pos)
-            value = Interface.zero()
-        finally:
-            self.in_progress.discard(name)
-        self.values[name] = value
-        return value
+        """The value of interface ``name``, referenced at ``pos``."""
+        value = self.values.get(name)
+        return self._run((name, pos)) if value is None else value
 
-    def _plain_source(self, item) -> Interface:
-        source = self.resolve_name(item.source, item.pos)
+    def eval(self, node) -> Interface | ConditionalInterface:
+        return self._run(self._evaluation(node))
+
+    def _run(self, request) -> Interface | ConditionalInterface:
+        """The value of ``request``: a reference ``(name, pos)`` or an
+        evaluation generator.  A generator yields what it needs next, one of
+        the two, and is sent its value.  ``stack`` holds each generator not
+        yet finished, with the name of the definition it evaluates (``None``
+        for a sub-expression).  An error of the input unwinds to the innermost
+        definition, which reports it and takes the value 0; with none left
+        on the stack, it propagates."""
+        values = self.values
+        stack: list[tuple] = []
+        while True:
+            if type(request) is tuple:
+                name, pos = request
+                value = values.get(name)
+                if value is None:
+                    item = self.defs.get(name)
+                    if item is None:
+                        self.error(f"reference to undefined interface: {name}", pos)
+                        value = Interface.zero()
+                    elif name in self.in_progress:
+                        self.error(f"cyclic interface reference through {name}", pos)
+                        value = Interface.zero()
+                    else:
+                        self.in_progress.add(name)
+                        stack.append((self._evaluation(item.expr) if type(item) is InterfaceDef
+                                      else self._derived(item), name))
+            else:
+                stack.append((request, None))
+                value = None
+            while stack:
+                gen, name = stack[-1]
+                try:
+                    request = gen.send(value)
+                    break
+                except StopIteration as done:
+                    stack.pop()
+                    value = done.value
+                except (SpecError, OverflowError) as exc:
+                    while stack[-1][1] is None:
+                        stack.pop()
+                        if not stack:
+                            raise
+                    name = stack.pop()[1]
+                    self.error(f"in interface {name}: {exc}", self.defs[name].pos)
+                    value = Interface.zero()
+                if name is not None:
+                    self._define(name, value)
+            else:
+                return value
+
+    def _define(self, name: str, value: Interface | ConditionalInterface) -> None:
+        """Records ``value`` as that of definition ``name``."""
+        item = self.defs[name]
+        scope = value.scope
+        if type(item) is InterfaceDef and item.scope_annotation and scope \
+                and item.scope_annotation != scope:
+            self.error(f"interface {name} declared @{item.scope_annotation} "
+                       f"but its elements are {scope}", item.pos)
+        self.in_progress.discard(name)
+        self.values[name] = value
+
+    def _derived(self, item: RefineDef | RenameDef):
+        """Evaluates a refinement or renaming (a generator, see ``_run``)."""
+        source = yield item.source, item.pos
         if not isinstance(source, Interface):
             raise SpecError(f"{item.source} is conditional and cannot be transformed")
-        return source
+        if isinstance(item, RefineDef):
+            return self._eval_refine(item, source)
+        return self._eval_rename(item, source)
 
-    def _eval_refine(self, item: RefineDef) -> Interface:
-        source = self._plain_source(item)
+    def _eval_refine(self, item: RefineDef, source: Interface) -> Interface:
         self._check_name("entity", item.coarse, item.pos)
         for part in item.parts:
             if self.catalog.has_entity(part):
@@ -170,8 +246,7 @@ class _Evaluator:
         spec = RefinementSpec(item.coarse, item.parts)
         return refine(expand_motives(source), spec)
 
-    def _eval_rename(self, item: RenameDef) -> Interface:
-        source = self._plain_source(item)
+    def _eval_rename(self, item: RenameDef, source: Interface) -> Interface:
         for kind, pairs in (("entity", item.entity_map), ("action", item.action_map),
                             ("motive", item.motive_map)):
             for old, new in pairs:
@@ -182,35 +257,27 @@ class _Evaluator:
                             dict(item.motive_map))
         return rename(source, mapping)
 
-    def _eval_signed(self, sign: int, node) -> Interface | ConditionalInterface:
-        return _scaled(self.eval(node), -1) if sign < 0 else self.eval(node)
+    def _evaluation(self, node):
+        """The generator that evaluates ``node`` (see ``_run``)."""
+        return self._sum(node) if type(node) is SumExpr else self._value(node)
 
-    def eval(self, node) -> Interface | ConditionalInterface:
-        # the node types are disjoint; the most frequent are tested first
-        if isinstance(node, GenExpr):
-            self._check_name("entity", node.target, node.pos)
-            if node.host is not None:
-                self._check_name("entity", node.host, node.pos)
-            self._check_name("action", node.action, node.pos)
-            for atom in node.motive:
-                self._check_name("motive", atom, node.pos)
-            gen = Generator(node.target, node.action, node.motive, node.polarity,
-                            node.host, node.alpha)
-            return Interface.term(gen)
-        if isinstance(node, SumExpr):
-            return ConditionalSum(self._eval_signed(s, p) for s, p in node.parts).total()
-        if isinstance(node, RefExpr):
-            return self.resolve_name(node.name, node.pos)
-        if isinstance(node, ZeroExpr):
+    def _value(self, node):
+        """Evaluates ``node``, which is not a sum (a generator, see ``_run``)."""
+        kind = type(node)
+        if kind is GenExpr:
+            return Interface.term(self._generator(node))
+        if kind is RefExpr:
+            return (yield node.name, node.pos)
+        if kind is ZeroExpr:
             return Interface.zero()
-        if isinstance(node, NegExpr):
-            return _scaled(self.eval(node.inner), -1)
-        if isinstance(node, ScaleExpr):
-            return _scaled(self.eval(node.inner), node.factor)
-        if isinstance(node, CondExpr):
+        if kind is NegExpr:
+            return _scaled((yield self._evaluation(node.inner)), -1)
+        if kind is ScaleExpr:
+            return _scaled((yield self._evaluation(node.inner)), node.factor)
+        if kind is CondExpr:
             self._check_name("condition", node.variable, node.pos)
-            then = self.eval(node.then)
-            otherwise = self.eval(node.otherwise)
+            then = yield self._evaluation(node.then)
+            otherwise = yield self._evaluation(node.otherwise)
             if not isinstance(then, Interface) or not isinstance(otherwise, Interface):
                 self.error("conditional elements cannot nest", node.pos)
                 return Interface.zero()
@@ -222,7 +289,45 @@ class _Evaluator:
             if not branches:
                 return Interface.zero()
             return ConditionalInterface(branches=branches)
-        raise TypeError(f"unknown expression node: {type(node).__name__}")
+        raise TypeError(f"unknown expression node: {kind.__name__}")
+
+    def _sum(self, node: SumExpr):
+        """Adds the parts of a sum in order.  An element, negated or scaled
+        or both, goes straight into the running sum, with the checks, in
+        their order, of evaluating and adding its one-term interface."""
+        running = RunningSum()
+        values = self.values
+        for sign, part in node.parts:
+            kind = type(part)
+            if kind is GenExpr:
+                running.add_term(self._generator(part), sign)
+                continue
+            if kind is RefExpr:
+                value = values.get(part.name)
+                if value is None:
+                    value = yield part.name, part.pos
+            elif kind is ZeroExpr:
+                continue
+            else:
+                leaf = part.inner if kind is NegExpr else part
+                factor = 1
+                if type(leaf) is ScaleExpr:
+                    factor = leaf.factor
+                    leaf = leaf.inner
+                if type(leaf) is GenExpr:
+                    gen = self._generator(leaf)
+                    if factor > I64_MAX:
+                        raise OverflowError(f"coefficient {factor} exceeds 64-bit signed range")
+                    if factor:
+                        running.add_term(gen, -sign * factor if kind is NegExpr else sign * factor)
+                    continue
+                value = yield self._evaluation(part)
+            if sign < 0:
+                value = _scaled(value, -1)
+            if value.branches and type(running) is RunningSum:
+                running = ConditionalSum((running.total(),))
+            running.add(value)
+        return running.total()
 
 
 def _scaled(value: Interface | ConditionalInterface, n: int) -> Interface | ConditionalInterface:
@@ -232,13 +337,16 @@ def _scaled(value: Interface | ConditionalInterface, n: int) -> Interface | Cond
     return map_parts(value, lambda i: n * i)
 
 
-def _declare_entities(item: EntityItem, parent: str | None, catalog: Catalog, diags: list):
-    try:
-        catalog.add_entity(item.name, parent, item.extern)
-    except SpecError as exc:
-        diags.append(Diagnostic("error", str(exc), item.pos))
-    for child in item.children:
-        _declare_entities(child, item.name, catalog, diags)
+def _declare_entities(item: EntityItem, catalog: Catalog, diags: list):
+    """Declares ``item`` and its descendants, parents first, in written order."""
+    pending = [(item, None)]
+    while pending:
+        item, parent = pending.pop()
+        try:
+            catalog.add_entity(item.name, parent, item.extern)
+        except SpecError as exc:
+            diags.append(Diagnostic("error", str(exc), item.pos))
+        pending.extend((child, item.name) for child in reversed(item.children))
 
 
 def build_catalog(module: SpecModule) -> tuple[Catalog, list[Diagnostic]]:
@@ -247,7 +355,7 @@ def build_catalog(module: SpecModule) -> tuple[Catalog, list[Diagnostic]]:
     for item in module.items:
         try:
             if isinstance(item, EntityItem):
-                _declare_entities(item, None, catalog, diags)
+                _declare_entities(item, catalog, diags)
             elif isinstance(item, NameItem):
                 catalog.add_name(item.kind, item.name, item.extern)
         except SpecError as exc:
@@ -346,10 +454,17 @@ def lint(res: Resolution) -> list[Diagnostic]:
         value = res.interfaces.get(item.name)
         if value is None:
             continue
-        parts = [value.unconditional, *(i for _, i in value.branches)]
-        gens = [g for part in parts for g, _ in part]
-        selfers = sorted({g.text() for g in gens if g.is_self_loop})
-        for text in selfers:
+        parts = (value.unconditional, *(i for _, i in value.branches)) if value.branches \
+            else (value,)
+        selfers = set()
+        alphas = set()
+        for part in parts:
+            for g, _ in part:
+                if g.host == g.target:  # a self-loop; a target is never None
+                    selfers.add(g.text())
+                if g.alpha != ALPHA_TF:
+                    alphas.add(g.alpha)
+        for text in sorted(selfers):
             diags.append(Diagnostic(
                 "warning", f"{item.name}: self-transfer {text} vanishes under reflection",
                 item.pos))
@@ -358,7 +473,7 @@ def lint(res: Resolution) -> list[Diagnostic]:
                 "warning",
                 f"{item.name} is declared monoid but has a negative coefficient "
                 f"or a non-TF reply constraint", item.pos))
-        alphas = sorted({g.alpha for g in gens if g.alpha != ALPHA_TF})
+        alphas = sorted(alphas)
         if alphas:
             diags.append(Diagnostic(
                 "warning",

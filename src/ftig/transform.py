@@ -266,9 +266,19 @@ class ConditionalSum:
                 nonzero[running.scope] -= 1
                 running.add(iface)
                 nonzero[running.scope] += 1
-            scope = self._unconditional.scope
-            if (nonzero[LOCAL] or scope == LOCAL) and (nonzero[GLOBAL] or scope == GLOBAL):
-                raise ScopeError(_MIXED_BRANCHES)
+            self._check_scopes()
+
+    def add_term(self, gen: Generator, coeff: int) -> None:
+        """``add(Interface.term(gen, coeff))`` for a nonzero 64-bit ``coeff``."""
+        self._unconditional.add_term(gen, coeff)
+        if self._branches:
+            self._check_scopes()
+
+    def _check_scopes(self) -> None:
+        nonzero = self._nonzero
+        scope = self._unconditional.scope
+        if (nonzero[LOCAL] or scope == LOCAL) and (nonzero[GLOBAL] or scope == GLOBAL):
+            raise ScopeError(_MIXED_BRANCHES)
 
     def total(self) -> Interface | ConditionalInterface:
         """The sum; a ConditionalInterface only while a branch survives."""

@@ -613,6 +613,20 @@ class TestExitCodes:
         assert out == ""
         assert err == "internal error: RuntimeError: two lines\n"
 
+    def test_recursion_error_is_exit_4(self, capsys, monkeypatch, exit_raises):
+        # too deep an input is a SpecError where it is read, so a
+        # RecursionError is a fault, not bad input
+        def broken(args):
+            raise RecursionError("maximum recursion depth exceeded")
+        monkeypatch.setattr(cli, "_cmd_check", broken)
+        monkeypatch.setattr(sys, "argv", ["fti", "check", fx("two_entity.fti")])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main()
+        assert exit_info.value.code == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
+
     @pytest.mark.parametrize("patched, argv", [
         ("localize", ("localize", "-e", "e1", "Sum", fx("two_entity.fti"))),
         ("comply_events", ("comply", "--log", fx("log_ok.csv"), "TwoEntity",

@@ -35,3 +35,14 @@ def test_no_bare_value_error(path):
         elif isinstance(node, ast.ExceptHandler) and "ValueError" in _names(node.type):
             found.append(f"line {node.lineno}: except ValueError")
     assert found == []
+
+
+@pytest.mark.parametrize("path", sorted((FTIG_SRC / "ftig").rglob("*.py")),
+                         ids=lambda p: p.relative_to(FTIG_SRC).as_posix())
+def test_no_recursion_error_handler(path):
+    # nothing that nests recurses, so a RecursionError is a fault and must
+    # reach main as one: too deep an input is a SpecError where it is read
+    found = [f"line {node.lineno}: except RecursionError"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ExceptHandler) and "RecursionError" in _names(node.type)]
+    assert found == []

@@ -52,12 +52,24 @@ def all_unmatched_log(n: int) -> str:
     return "".join(f"e,f,a{i},z,T\n" for i in range(n))
 
 
+def reverse_chain(n: int) -> str:
+    """``I<i> = I<i-1> + f.a(m)`` over the leaf ``I0``, declared from
+    ``I<n-1>`` down, so each definition is first met through a reference;
+    ``architecture A { e : I<n-1>, f : J }`` with ``J = n x ~e.a(m)`` is closed."""
+    lines = ["entity e", "entity f", "action a", "motive m"]
+    lines += [f"interface I{i} @local {{ I{i - 1} + f.a(m) }}" for i in range(n - 1, 0, -1)]
+    lines += ["interface I0 @local { f.a(m) }", f"interface J @local {{ {n} x ~e.a(m) }}",
+              f"architecture A {{ e : I{n - 1}, f : J }}"]
+    return "\n".join(lines) + "\n"
+
+
 # shape -> (spec text for size n, event log text for size n or None, the
 # command before the file, its exit code)
 SHAPES = {
     "repeated_listings": (repeated_listings, None, ("closed", "A"), 0),
     "conditional_terms": (conditional_terms, None, ("check",), 0),
     "all_unmatched": (all_unmatched, all_unmatched_log, ("comply", "A"), 1),
+    "reverse_chain": (reverse_chain, None, ("closed", "A"), 0),
 }
 
 

@@ -13,7 +13,8 @@ from conftest import FIXTURES
 
 from ftig import transform
 from ftig.algebra import I64_MAX, Interface, client, service
-from ftig.errors import ParseError, SourcePosition
+from ftig.architecture import check_closed
+from ftig.errors import ParseError, SourcePosition, SpecError
 from ftig.speclang import (
     evaluate_expression_text, lint, parse_expression, parse_module, resolve,
     tokenize,
@@ -333,6 +334,19 @@ class TestResolverOracle:
     @example(text="entity e\naction a\nmotive m\n"
                   f"architecture A {{ e : {I64_MAX} x e.a(m), e : e.a(m) }}\n",
              allow_undeclared=False)
+    # an element summed in place: its names are looked up before its
+    # multiplicity's range is checked ...
+    @example(text="entity e1\nentity e2\naction a\naction b\nmotive m\n"
+                  "interface I0 { e1.a(m)@e1 + 9223372036854775808 x e2.b(m)@u }\n",
+             allow_undeclared=False)
+    # ... and under 0 x its names are still looked up, while its term and
+    # scope drop
+    @example(text="entity e\naction a\nmotive m\n"
+                  "interface I { e.a(m) + 0 x e.a(m)@u }\n", allow_undeclared=False)
+    # a global element after a local reference is a scope error
+    @example(text="entity e\naction a\nmotive m\n"
+                  "interface L { e.a(m) }\ninterface G { L + e.a(m)@e }\n",
+             allow_undeclared=False)
     @settings(max_examples=300, deadline=None)
     def test_random_modules(self, text, allow_undeclared):
         assert resolution_of(resolve, text, allow_undeclared) == \
@@ -342,6 +356,10 @@ class TestResolverOracle:
     @example(text="0 x e.a(m) <| c |> 0")
     @example(text="-(2 x (e.a(m) <| c |> 0) - (e.a(m) <| c |> e.b(m)) + e.a(m) <| c |> 0)")
     @example(text="9223372036854775807 x e.a(m) + e.a(m) <| c |> 0 - e.a(m)@e")
+    # the partial sums of elements summed in place overflow at the third part
+    @example(text="-(9223372036854775807 x e.a(m)) - e.a(m) - e.a(m)")
+    # an element after a conditional part joins the conditional sum's checks
+    @example(text="e.a(m) <| c |> 0 + e.b(m)@e")
     @settings(max_examples=300, deadline=None)
     def test_random_expressions(self, text):
         assert expression_value(evaluate_expression_text, text) == \
@@ -569,6 +587,74 @@ class TestParserPrecedence:
             parse_expression("f.a(m)@g/Q")
 
 
+NESTINGS = {
+    # kind -> the text of an expression n constructs deep, and the
+    # coefficient of f.a(m) in its value
+    "parentheses": lambda n: ("(" * n + "f.a(m)" + ")" * n, 1),
+    "minus": lambda n: ("-" * n + "f.a(m)", (-1) ** n),
+    # a multiplicity applies to an element or a group: each level is two deep
+    "multiplicity": lambda n: ("1 x (" * (n // 2) + "f.a(m)" + ")" * (n // 2), 1),
+    # so is each level of conditionals, nested in the second branch
+    "conditional": lambda n: ("(0 <| c |> " * (n // 2) + "0" + ")" * (n // 2), 0),
+    "sum": lambda n: ("(f.a(m) + " * n + "f.a(m)" + ")" * n, n + 1),
+}
+
+
+class TestNesting:
+    """An expression nests at most ``MAX_NESTING`` constructs deep; deeper is
+    a ``SpecError``.  The parser and the resolver keep what is open on
+    explicit stacks, so any tree within the limit parses and resolves."""
+
+    @pytest.mark.parametrize("kind", NESTINGS)
+    def test_deepest_tree_of_each_kind_resolves(self, kind):
+        text, coeff = NESTINGS[kind](parser_module.MAX_NESTING)
+        module = parse_module("entity f\naction a\nmotive m\ncondition c\n"
+                              f"interface I @local {{ {text} }}\n")
+        res = resolve(module)
+        assert res.ok, [d.render() for d in res.errors]
+        assert res.interfaces["I"] == Interface.term(service("f", "a", "m"), coeff)
+
+    @pytest.mark.parametrize("kind", NESTINGS)
+    def test_one_more_is_too_deep(self, kind):
+        text, _ = NESTINGS[kind](parser_module.MAX_NESTING + 2)
+        with pytest.raises(SpecError) as caught:
+            parse_expression(text)
+        assert type(caught.value) is SpecError
+        assert str(caught.value) == "expression nesting too deep"
+
+    def test_deep_entity_declarations(self):
+        depth = 5000
+        text = "entity e0 {" + "".join(f" entity e{k} {{" for k in range(1, depth)) + \
+            " }" * depth + "\naction a\nmotive m\n" \
+            f"interface I {{ e{depth - 1}.a(m) }}\n"
+        res = resolve(parse_module(text))
+        assert res.ok
+        assert res.catalog.entity_path(f"e{depth - 1}") == tuple(f"e{k}" for k in range(depth))
+
+
+def reference_chain(n: int, reverse: bool) -> str:
+    """``I<i> = I<i-1> + f.a(m)`` over the leaf ``I0``, declared in order or in
+    reverse, with ``architecture A { e : I<n-1>, f : J }`` and
+    ``J = n x ~e.a(m)``, which closes A."""
+    links = [f"interface I{i} @local {{ I{i - 1} + f.a(m) }}" for i in range(1, n)]
+    lines = ["entity e", "entity f", "action a", "motive m", "interface I0 @local { f.a(m) }",
+             *(reversed(links) if reverse else links),
+             f"interface J @local {{ {n} x ~e.a(m) }}", f"architecture A {{ e : I{n - 1}, f : J }}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_reverse_reference_chain_resolves_as_the_forward_one():
+    # definitions come off an explicit stack: a deep reverse chain does not
+    # exhaust the Python stack, and gives the forward chain's values
+    forward = resolve(parse_module(reference_chain(5000, reverse=False)))
+    reverse = resolve(parse_module(reference_chain(5000, reverse=True)))
+    assert forward.ok and reverse.ok
+    assert reverse.interfaces == forward.interfaces
+    assert reverse.interfaces["I4999"] == Interface.term(service("f", "a", "m"), 5000)
+    assert check_closed(reverse.architectures["A"], reverse.catalog).closed
+    assert check_closed(forward.architectures["A"], forward.catalog).closed
+
+
 class TestDeclarations:
     """Each declaration error has this exact message and position, and the
     parser accepts the forms that ``docs/grammar.ebnf`` allows."""
@@ -698,7 +784,7 @@ class TestModules:
         # evaluation is a fault of ftig and must not become "in interface X: ..."
         def broken(self, node):
             raise ValueError("invalid literal for int() with base 10: 'x'")
-        monkeypatch.setattr(resolver_module._Evaluator, "eval", broken)
+        monkeypatch.setattr(resolver_module._Evaluator, "_evaluation", broken)
         module = parse_module("entity e\naction a\nmotive m\ninterface I { e.a(m) }")
         with pytest.raises(ValueError) as caught:
             resolve(module)
