@@ -68,13 +68,9 @@ class Parser:
     def expect(self, kind: str, what: str | None = None) -> int:
         i = self.i
         if self.kinds[i] != kind:
-            raise self.unexpected(i, what or kind)
+            raise self.error(f"expected {what or kind}, found {self.found(i)!r}", i)
         self.i = i + 1  # no caller expects EOF
         return i
-
-    def unexpected(self, i: int, what: str) -> ParseError:
-        """The error of finding token ``i`` where ``what`` was expected."""
-        return self.error(f"expected {what}, found {self.found(i)!r}", i)
 
     def found(self, i: int) -> str:
         return self.texts[i] or "end of input"
@@ -372,52 +368,33 @@ class Parser:
         raise self.error(f"expected an interface element, found {self.found(i)!r}", i)
 
     def parse_generator(self, polarity: str, target: int) -> GenExpr:
-        """The rest of a generator whose target entity is token ``target``.
-        Each token is tested where it is read; none is read past a mismatch,
-        so none is read past EOF."""
+        """The rest of a generator whose target entity is token ``target``."""
         kinds = self.kinds
         texts = self.texts
-        i = self.i
-        if kinds[i] != "DOT":
-            raise self.unexpected(i, "DOT")
-        if kinds[i + 1] != "IDENT":
-            raise self.unexpected(i + 1, "action name")
-        action = texts[i + 1]
-        if kinds[i + 2] != "LPAREN":
-            raise self.unexpected(i + 2, "'(' introducing the motive")
-        i += 3
+        self.expect("DOT")
+        action = texts[self.expect("IDENT", "action name")]
+        self.expect("LPAREN", "'(' introducing the motive")
         motive: tuple[str, ...] = ()
-        if kinds[i] == "INT" and texts[i] == "0":
-            i += 1
+        if kinds[self.i] == "INT" and texts[self.i] == "0":
+            self.i += 1
         else:
-            if kinds[i] != "IDENT":
-                raise self.unexpected(i, "motive atom")
-            atoms = [texts[i]]
-            i += 1
-            while kinds[i] == "PLUS":
-                if kinds[i + 1] != "IDENT":
-                    raise self.unexpected(i + 1, "motive atom")
-                atoms.append(texts[i + 1])
-                i += 2
+            atoms = [texts[self.expect("IDENT", "motive atom")]]
+            while kinds[self.i] == "PLUS":
+                self.i += 1
+                atoms.append(texts[self.expect("IDENT", "motive atom")])
             motive = tuple(atoms)
-        if kinds[i] != "RPAREN":
-            raise self.unexpected(i, "')' closing the motive")
-        i += 1
+        self.expect("RPAREN", "')' closing the motive")
         host = None
-        if kinds[i] == "AT":
-            if kinds[i + 1] != "IDENT":
-                raise self.unexpected(i + 1, "host entity name")
-            host = texts[i + 1]
-            i += 2
+        if kinds[self.i] == "AT":
+            self.i += 1
+            host = texts[self.expect("IDENT", "host entity name")]
         alpha = "TF"
-        if kinds[i] == "SLASH":
-            if kinds[i + 1] != "IDENT":
-                raise self.unexpected(i + 1, "reply constraint (TF, T, F or lambda)")
-            alpha = texts[i + 1]
+        if kinds[self.i] == "SLASH":
+            self.i += 1
+            word = self.expect("IDENT", "reply constraint (TF, T, F or lambda)")
+            alpha = texts[word]
             if alpha not in ALPHAS:
-                raise self.error(f"unknown reply constraint /{alpha}", i + 1)
-            i += 2
-        self.i = i
+                raise self.error(f"unknown reply constraint /{alpha}", word)
         return GenExpr(self.pos(target), polarity, texts[target], action, motive, host, alpha)
 
 

@@ -107,7 +107,6 @@ class _Evaluator:
         self.values: dict[str, Interface | ConditionalInterface] = {}
         self.in_progress: set[str] = set()
         self.reported_undeclared: set[tuple[str, str]] = set()
-        self.declared = (self.tables["entity"], self.tables["action"], self.tables["motive"])
 
     def error(self, message: str, pos):
         self.diagnostics.append(Diagnostic("error", message, pos))
@@ -130,29 +129,34 @@ class _Evaluator:
             self.error(f"undeclared {kind}: {name}", pos)
 
     def _generator(self, node: GenExpr) -> Generator:
-        """The generator of an element, its names checked: by one membership
-        test each while all are declared, else by ``_check_name`` in order."""
-        target = node.target
-        action = node.action
-        motive = node.motive
-        host = node.host
-        entities, actions, motives = self.declared
-        if target in entities and action in actions and (host is None or host in entities) \
-                and all(map(motives.__contains__, motive)):
-            looked_up = self.looked_up
-            looked_up["entity"].add(target)
-            if host is not None:
-                looked_up["entity"].add(host)
-            looked_up["action"].add(action)
-            looked_up["motive"].update(motive)
-        else:
-            self._check_name("entity", target, node.pos)
-            if host is not None:
-                self._check_name("entity", host, node.pos)
-            self._check_name("action", action, node.pos)
-            for atom in motive:
-                self._check_name("motive", atom, node.pos)
-        return Generator(target, action, motive, node.polarity, host, node.alpha)
+        """The generator of an element, its names checked in order."""
+        pos = node.pos
+        self._check_name("entity", node.target, pos)
+        if node.host is not None:
+            self._check_name("entity", node.host, pos)
+        self._check_name("action", node.action, pos)
+        for atom in node.motive:
+            self._check_name("motive", atom, pos)
+        return Generator(node.target, node.action, node.motive, node.polarity, node.host,
+                         node.alpha)
+
+    def _element(self, node, sign: int) -> tuple[Generator, int] | None:
+        """``sign`` times ``node`` as ``(generator, coefficient)`` when it is an
+        element, negated or scaled or both (``g``, ``-g``, ``n x g``,
+        ``-(n x g)``), else ``None``.  The element's names are checked, then
+        ``n``'s 64-bit range, as evaluating its one-term interface would."""
+        kind = type(node)
+        leaf = node.inner if kind is NegExpr else node
+        factor = 1
+        if type(leaf) is ScaleExpr:
+            factor = leaf.factor
+            leaf = leaf.inner
+        if type(leaf) is not GenExpr:
+            return None
+        gen = self._generator(leaf)
+        if factor > I64_MAX:
+            raise OverflowError(f"coefficient {factor} exceeds 64-bit signed range")
+        return gen, -sign * factor if kind is NegExpr else sign * factor
 
     # ------------------------------------------------------- evaluation
 
@@ -264,16 +268,10 @@ class _Evaluator:
     def _value(self, node):
         """Evaluates ``node``, which is not a sum (a generator, see ``_run``)."""
         kind = type(node)
-        if kind is GenExpr:
-            return Interface.term(self._generator(node))
         if kind is RefExpr:
             return (yield node.name, node.pos)
         if kind is ZeroExpr:
             return Interface.zero()
-        if kind is NegExpr:
-            return _scaled((yield self._evaluation(node.inner)), -1)
-        if kind is ScaleExpr:
-            return _scaled((yield self._evaluation(node.inner)), node.factor)
         if kind is CondExpr:
             self._check_name("condition", node.variable, node.pos)
             then = yield self._evaluation(node.then)
@@ -289,19 +287,22 @@ class _Evaluator:
             if not branches:
                 return Interface.zero()
             return ConditionalInterface(branches=branches)
+        element = self._element(node, 1)
+        if element is not None:
+            return Interface.term(*element)
+        if kind is NegExpr:
+            return _scaled((yield self._evaluation(node.inner)), -1)
+        if kind is ScaleExpr:
+            return _scaled((yield self._evaluation(node.inner)), node.factor)
         raise TypeError(f"unknown expression node: {kind.__name__}")
 
     def _sum(self, node: SumExpr):
         """Adds the parts of a sum in order.  An element, negated or scaled
-        or both, goes straight into the running sum, with the checks, in
-        their order, of evaluating and adding its one-term interface."""
+        or both, goes straight into the running sum (see ``_element``)."""
         running = RunningSum()
         values = self.values
         for sign, part in node.parts:
             kind = type(part)
-            if kind is GenExpr:
-                running.add_term(self._generator(part), sign)
-                continue
             if kind is RefExpr:
                 value = values.get(part.name)
                 if value is None:
@@ -309,17 +310,10 @@ class _Evaluator:
             elif kind is ZeroExpr:
                 continue
             else:
-                leaf = part.inner if kind is NegExpr else part
-                factor = 1
-                if type(leaf) is ScaleExpr:
-                    factor = leaf.factor
-                    leaf = leaf.inner
-                if type(leaf) is GenExpr:
-                    gen = self._generator(leaf)
-                    if factor > I64_MAX:
-                        raise OverflowError(f"coefficient {factor} exceeds 64-bit signed range")
-                    if factor:
-                        running.add_term(gen, -sign * factor if kind is NegExpr else sign * factor)
+                element = self._element(part, sign)
+                if element is not None:
+                    if element[1]:
+                        running.add_term(*element)
                     continue
                 value = yield self._evaluation(part)
             if sign < 0:
@@ -454,17 +448,10 @@ def lint(res: Resolution) -> list[Diagnostic]:
         value = res.interfaces.get(item.name)
         if value is None:
             continue
-        parts = (value.unconditional, *(i for _, i in value.branches)) if value.branches \
-            else (value,)
-        selfers = set()
-        alphas = set()
-        for part in parts:
-            for g, _ in part:
-                if g.host == g.target:  # a self-loop; a target is never None
-                    selfers.add(g.text())
-                if g.alpha != ALPHA_TF:
-                    alphas.add(g.alpha)
-        for text in sorted(selfers):
+        parts = [value.unconditional, *(i for _, i in value.branches)]
+        gens = [g for part in parts for g, _ in part]
+        selfers = sorted({g.text() for g in gens if g.is_self_loop})
+        for text in selfers:
             diags.append(Diagnostic(
                 "warning", f"{item.name}: self-transfer {text} vanishes under reflection",
                 item.pos))
@@ -473,7 +460,7 @@ def lint(res: Resolution) -> list[Diagnostic]:
                 "warning",
                 f"{item.name} is declared monoid but has a negative coefficient "
                 f"or a non-TF reply constraint", item.pos))
-        alphas = sorted(alphas)
+        alphas = sorted({g.alpha for g in gens if g.alpha != ALPHA_TF})
         if alphas:
             diags.append(Diagnostic(
                 "warning",

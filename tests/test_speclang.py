@@ -588,14 +588,18 @@ class TestParserPrecedence:
 
 
 NESTINGS = {
-    # kind -> the text of an expression n constructs deep, and the
+    # kind -> the text of an expression exactly n constructs deep, and the
     # coefficient of f.a(m) in its value
     "parentheses": lambda n: ("(" * n + "f.a(m)" + ")" * n, 1),
     "minus": lambda n: ("-" * n + "f.a(m)", (-1) ** n),
-    # a multiplicity applies to an element or a group: each level is two deep
-    "multiplicity": lambda n: ("1 x (" * (n // 2) + "f.a(m)" + ")" * (n // 2), 1),
-    # so is each level of conditionals, nested in the second branch
-    "conditional": lambda n: ("(0 <| c |> " * (n // 2) + "0" + ")" * (n // 2), 0),
+    # a multiplicity applies to an element or a group: each level is two
+    # deep, and an odd n scales the element itself once more
+    "multiplicity": lambda n: ("1 x (" * (n // 2) + "1 x " * (n % 2) + "f.a(m)"
+                               + ")" * (n // 2), 1),
+    # so is each level of conditionals, nested in the second branch; an odd
+    # n puts the innermost 0 in parentheses
+    "conditional": lambda n: ("(0 <| c |> " * (n // 2) + "(" * (n % 2) + "0" + ")" * (n % 2)
+                              + ")" * (n // 2), 0),
     "sum": lambda n: ("(f.a(m) + " * n + "f.a(m)" + ")" * n, n + 1),
 }
 
@@ -616,7 +620,7 @@ class TestNesting:
 
     @pytest.mark.parametrize("kind", NESTINGS)
     def test_one_more_is_too_deep(self, kind):
-        text, _ = NESTINGS[kind](parser_module.MAX_NESTING + 2)
+        text, _ = NESTINGS[kind](parser_module.MAX_NESTING + 1)
         with pytest.raises(SpecError) as caught:
             parse_expression(text)
         assert type(caught.value) is SpecError
@@ -782,9 +786,11 @@ class TestModules:
     def test_fault_in_evaluation_is_not_a_diagnostic(self, monkeypatch):
         # only a SpecError is a fault of the input; a builtin ValueError from
         # evaluation is a fault of ftig and must not become "in interface X: ..."
+        # raised while _run resumes the evaluation, inside its except clause
         def broken(self, node):
             raise ValueError("invalid literal for int() with base 10: 'x'")
-        monkeypatch.setattr(resolver_module._Evaluator, "_evaluation", broken)
+            yield
+        monkeypatch.setattr(resolver_module._Evaluator, "_value", broken)
         module = parse_module("entity e\naction a\nmotive m\ninterface I { e.a(m) }")
         with pytest.raises(ValueError) as caught:
             resolve(module)
